@@ -17,6 +17,7 @@ from .linalg import (
 )
 from .selection import (
     GammaMode,
+    GreedyCertificateError,
     ProbabilityRule,
     WorkingSet,
     active_set_gamma,
@@ -26,13 +27,10 @@ from .selection import (
 )
 from .solvers import (
     SolverConfig,
-    SolverState,
     SolverVariant,
     Trace,
     TraceRecord,
-    kaczmarz_project,
-    momentum_step,
-    residual_update,
+    kaczmarz_step,
     run,
 )
 from .analysis import (

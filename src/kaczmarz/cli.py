@@ -208,7 +208,7 @@ def _cmd_solve(args) -> int:
     if args.out:
         write_trace_csv(trace, args.out)
         print(f"trace written to {args.out}")
-    return 0 if trace.termination != "max_iters" else NUMERICAL_ERROR
+    return NUMERICAL_ERROR if trace.termination in ("max_iters", "nonfinite") else 0
 
 
 def _cmd_bench(args) -> int:

@@ -363,9 +363,16 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 
 TRACE_COLUMNS = ["k", "index", "set_size", "gamma", "err_sq", "res_sq"]
 
+# SolverConfig fields the metadata line stores beside the step parameters.
+_STOPPING_KEYS = ("max_iters", "rse_tol", "residual_tol", "res_zero_tol", "refresh_every")
+
 
 def write_trace_csv(trace: Trace, path) -> Path:
-    """Per-iteration trace CSV with a JSON metadata comment on line one."""
+    """Per-iteration trace CSV with a JSON metadata comment on line one.
+
+    Metrics a record does not carry (``err_sq`` without x*, ``res_sq`` where
+    the run kept no full residual) are written as empty fields.
+    """
     meta = {
         "variant": trace.config.variant.value,
         "alpha": trace.config.alpha,
@@ -374,6 +381,7 @@ def write_trace_csv(trace: Trace, path) -> Path:
         "gamma_mode": trace.config.resolved_gamma_mode().value,
         "prob_rule": trace.config.prob_rule.value,
         "seed": trace.config.seed,
+        **{key: getattr(trace.config, key) for key in _STOPPING_KEYS},
         "termination": trace.termination,
         "initial_err_sq": trace.initial_err_sq,
         "initial_res_sq": trace.initial_res_sq,
@@ -392,7 +400,7 @@ def write_trace_csv(trace: Trace, path) -> Path:
                 "" if rec.set_size is None else rec.set_size,
                 "" if rec.gamma is None else repr(rec.gamma),
                 "" if rec.err_sq is None else repr(rec.err_sq),
-                repr(rec.res_sq),
+                "" if rec.res_sq is None else repr(rec.res_sq),
             ])
     return path
 
@@ -419,7 +427,7 @@ def read_trace_csv(path) -> Trace:
                 gamma=float(row["gamma"]) if row["gamma"] else None,
                 active_count=None,
                 err_sq=float(row["err_sq"]) if row["err_sq"] else None,
-                res_sq=float(row["res_sq"]),
+                res_sq=float(row["res_sq"]) if row["res_sq"] else None,
                 row_residual_after=float("nan"),
                 elapsed_ns=0,
             ))
@@ -431,6 +439,8 @@ def read_trace_csv(path) -> Trace:
         gamma_mode=meta["gamma_mode"],
         prob_rule=meta["prob_rule"],
         seed=meta["seed"],
+        # Files written before the stopping parameters were stored get the defaults.
+        **{key: meta[key] for key in _STOPPING_KEYS if key in meta},
     )
     return Trace(
         records=records,

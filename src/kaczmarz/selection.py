@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import RowAccessMatrix
 
 __all__ = [
+    "GreedyCertificateError",
     "GammaMode",
     "ProbabilityRule",
     "WorkingSet",
@@ -24,6 +25,10 @@ __all__ = [
     "sampling_distribution",
     "sample_index",
 ]
+
+
+class GreedyCertificateError(ValueError):
+    """A greedy working set fails the ||r||^2/gamma certificate."""
 
 
 class GammaMode(str, Enum):
@@ -122,10 +127,10 @@ def greedy_set(
         active_count = int(np.count_nonzero(r))
 
     # Every member is certified to sit at or above the mean level ||r||^2/gamma.
-    assert float(scores[indices].min()) >= (rss / gamma) * (1.0 - 1e-9), (
-        "greedy member below the ||r||^2/gamma certificate; "
-        "gamma is smaller than the active-set mass"
-    )
+    if not float(scores[indices].min()) >= (rss / gamma) * (1.0 - 1e-9):
+        raise GreedyCertificateError(
+            f"greedy member below the ||r||^2/gamma certificate (||r||^2 = {rss:.6g}, "
+            f"gamma = {gamma:.6g}): gamma is below the active-set mass or ||r||^2 overflowed")
     return WorkingSet(indices=indices, gamma=float(gamma),
                       active_count=active_count, threshold=float(threshold))
 

@@ -8,8 +8,9 @@ mutable state (iterates, residual, generator, trace) is per-run.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -28,12 +29,9 @@ from .selection import (
 __all__ = [
     "SolverVariant",
     "SolverConfig",
-    "SolverState",
     "TraceRecord",
     "Trace",
-    "kaczmarz_project",
-    "momentum_step",
-    "residual_update",
+    "kaczmarz_step",
     "run",
 ]
 
@@ -100,18 +98,6 @@ class SolverConfig:
         return GammaMode.EXACT
 
 
-@dataclass
-class SolverState:
-    """Mutable per-run state; ``x == x_prev`` at k = 0."""
-
-    x: np.ndarray
-    x_prev: np.ndarray
-    r: np.ndarray
-    r_prev: np.ndarray
-    k: int = 0
-    last_index: int | None = None
-
-
 class TraceRecord(NamedTuple):
     """One completed iteration; metrics refer to the iterate after the step."""
 
@@ -121,14 +107,19 @@ class TraceRecord(NamedTuple):
     gamma: float | None
     active_count: int | None
     err_sq: float | None
-    res_sq: float
+    res_sq: float | None  # None where the run keeps no full residual
     row_residual_after: float
     elapsed_ns: int
 
 
 @dataclass
 class Trace:
-    """Per-iteration records plus the run's initial metrics and outcome."""
+    """Per-iteration records plus the run's initial metrics and outcome.
+
+    ``termination`` is ``rse_tol``, ``residual_tol``, ``converged`` (greedy
+    variants, zero residual), ``max_iters`` or ``nonfinite`` (a metric
+    overflowed).
+    """
 
     records: list[TraceRecord]
     termination: str
@@ -163,64 +154,64 @@ class Trace:
         return [rec.index for rec in self.records]
 
 
-def kaczmarz_project(x: np.ndarray, a_i: np.ndarray, b_i: float, alpha: float = 1.0) -> np.ndarray:
-    """Relaxed projection of x onto the hyperplane <a_i, x> = b_i.
-
-    With alpha = 1 the result satisfies the i-th equation exactly.
-    """
-    a_i = np.asarray(a_i, dtype=np.float64)
-    norm_sq = float(a_i @ a_i)
-    if norm_sq <= 0.0:
-        raise ValueError("row has zero norm")
-    r_i = float(a_i @ x) - b_i
-    return x - alpha * (r_i / norm_sq) * a_i
-
-
-def momentum_step(
-    state: SolverState, a_i: np.ndarray, b_i: float, alpha: float, beta: float
-) -> np.ndarray:
-    """Heavy-ball update: relaxed projection plus beta * (x - x_prev)."""
-    new_x = kaczmarz_project(state.x, a_i, b_i, alpha)
-    if beta != 0.0:
-        new_x += beta * (state.x - state.x_prev)
-    return new_x
-
-
-def residual_update(
-    r: np.ndarray,
+def kaczmarz_step(
     A: RowAccessMatrix,
-    index: int,
-    scale: float,
+    b: np.ndarray,
+    i: int,
+    x: np.ndarray,
+    x_prev: np.ndarray,
+    alpha: float = 1.0,
     beta: float = 0.0,
+    r: np.ndarray | None = None,
     r_prev: np.ndarray | None = None,
-    row_image: np.ndarray | None = None,
-) -> np.ndarray:
-    """Residual after a rank-1 iterate change, without touching x.
+    image: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One relaxed projection onto <a_i, x> = b_i plus heavy-ball momentum.
 
-    ``scale`` is the step coefficient alpha * r_index / ||a_index||^2, so the
-    projection part is ``r - scale * (A @ a_index)``; with momentum the term
-    ``beta * (r - r_prev)`` is added on top.
+    Returns ``(x_new, r_new)`` with
+    ``x_new = x - coeff * a_i + beta * (x - x_prev)`` and
+    ``coeff = alpha * r_i / ||a_i||^2``.  When the caller keeps the residual
+    ``r = Ax - b``, r_i is read from it and ``r_new`` is its rank-1 update
+    ``r - coeff * (A @ a_i) + beta * (r - r_prev)``; ``image`` is ``A @ a_i``
+    when the caller has it cached.  Without ``r``, r_i = <a_i, x> - b_i costs
+    O(nnz(a_i)) and ``r_new`` is None.
     """
-    if row_image is None:
-        row_image = A.row_image(index)
-    out = r - scale * row_image
-    if beta != 0.0:
-        if r_prev is None:
+    if r is None:
+        r_i = A.row_dot(i, x) - b[i]
+    else:
+        r_i = r[i]
+        if beta != 0.0 and r_prev is None:
             raise ValueError("momentum residual update needs the previous residual")
-        out += beta * (r - r_prev)
-    return out
+    coeff = alpha * r_i / A.row_norms_sq[i]
+    if beta != 0.0:
+        x_new = x + beta * (x - x_prev)
+    else:
+        x_new = x.copy()
+    A.axpy_row(i, -coeff, x_new)
+    if r is None:
+        return x_new, None
+    if image is None:
+        image = A.row_image(i)
+    r_new = r - coeff * image
+    if beta != 0.0:
+        r_new += beta * (r - r_prev)
+    return x_new, r_new
 
 
-def _initial_termination(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config) -> str | None:
+def _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config) -> str | None:
+    """Termination reason for the current metrics, or None to keep going.
+
+    Both metrics are sums of squares, so their sum is finite exactly when every
+    metric computed is.  The residual is watched even when x* is known,
+    because greedy selection reads it and it can overflow before the error.
+    """
+    if not math.isfinite((err_sq or 0.0) + (res_sq or 0.0)):
+        return "nonfinite"
     if err_sq is not None:
         denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
-        if err_sq / denom <= config.rse_tol:
-            return "rse_tol"
-        return None
+        return "rse_tol" if err_sq / denom <= config.rse_tol else None
     denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-    if res_sq / denom <= config.residual_tol:
-        return "residual_tol"
-    return None
+    return "residual_tol" if res_sq / denom <= config.residual_tol else None
 
 
 def run(
@@ -235,6 +226,10 @@ def run(
     against ``problem.x_star``, which is the correct target for x0 = 0 (and
     for any x0 whose offset from x* lies in Range(A^T)).  Identical
     (problem, config) pairs produce identical traces apart from timings.
+
+    The full residual is kept only when the variant selects by it (``grk``,
+    ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
+    its own row and records ``res_sq=None``.
     """
     A, b = problem.A, problem.b
     m, n = A.shape
@@ -247,7 +242,6 @@ def run(
     if x.shape[0] != n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
     r = A.matvec(x) - b
-    state = SolverState(x=x, x_prev=x.copy(), r=r, r_prev=r.copy())
 
     x_star = problem.x_star
     x_star_norm_sq = float(x_star @ x_star) if x_star is not None else None
@@ -274,32 +268,36 @@ def run(
         iterates=iterates,
     )
 
-    reason = _initial_termination(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config)
+    reason = _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config)
     if reason is not None:
         trace.termination = reason
-        trace.final_x = state.x.copy()
+        trace.final_x = x.copy()
         return trace
 
-    norms_sq = A.row_norms_sq
     greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    rk_cdf = np.cumsum(norms_sq) if variant is SolverVariant.RK else None
+    needs_residual = greedy or x_star is None
+    if not needs_residual:
+        r = res_sq = None
+    # Steps never write into x or r, so the first momentum term is exactly zero.
+    x_prev, r_prev = x, r
+    rk_cdf = np.cumsum(A.row_norms_sq) if variant is SolverVariant.RK else None
     image_cache: dict[int, np.ndarray] = {}
     cache_cap = max(16, _IMAGE_CACHE_BYTES // (8 * m))
     refresh = config.refresh_every
+    last_index = None
     t0 = time.perf_counter_ns()
 
     for k in range(config.max_iters):
-        state.k = k
         set_size = gamma_rec = active_rec = None
 
         if greedy:
-            last = state.last_index if gamma_mode is GammaMode.LAST_ROW else None
-            gamma, active = active_set_gamma(A, state.r, gamma_mode, last, tau_res)
+            last = last_index if gamma_mode is GammaMode.LAST_ROW else None
+            gamma, active = active_set_gamma(A, r, gamma_mode, last, tau_res)
             if active == 0:
                 trace.termination = "converged"
                 break
-            ws = greedy_set(A, state.r, gamma, theta, active_count=active)
-            probs = sampling_distribution(state.r, ws, config.prob_rule)
+            ws = greedy_set(A, r, gamma, theta, active_count=active)
+            probs = sampling_distribution(r, ws, config.prob_rule)
             i = int(ws.indices[sample_index(probs, rng)])
             set_size, gamma_rec, active_rec = len(ws), gamma, active
         elif variant is SolverVariant.RK:
@@ -308,33 +306,29 @@ def run(
         else:
             i = k % m
 
-        coeff = alpha * state.r[i] / norms_sq[i]
-        image = image_cache.get(i)
-        if image is None:
-            image = A.row_image(i)
-            if len(image_cache) < cache_cap:
-                image_cache[i] = image
+        image = None
+        if needs_residual:
+            image = image_cache.get(i)
+            if image is None:
+                image = A.row_image(i)
+                if len(image_cache) < cache_cap:
+                    image_cache[i] = image
+        x_new, r_new = kaczmarz_step(A, b, i, x, x_prev, alpha, beta, r, r_prev, image)
+        x_prev, x = x, x_new
+        r_prev, r = r, r_new
+        last_index = i
 
-        if beta != 0.0:
-            new_x = state.x + beta * (state.x - state.x_prev)
-            A.axpy_row(i, -coeff, new_x)
-            new_r = state.r - coeff * image + beta * (state.r - state.r_prev)
+        if needs_residual:
+            if refresh and (k + 1) % refresh == 0:
+                r = A.matvec(x) - b
+                if beta != 0.0:
+                    r_prev = A.matvec(x_prev) - b
+            res_sq = float(r @ r)
+            row_residual = abs(float(r[i]))
         else:
-            new_x = state.x.copy()
-            A.axpy_row(i, -coeff, new_x)
-            new_r = state.r - coeff * image
-        state.x_prev, state.x = state.x, new_x
-        state.r_prev, state.r = state.r, new_r
-        state.last_index = i
-
-        if refresh and (k + 1) % refresh == 0:
-            state.r = A.matvec(state.x) - b
-            if beta != 0.0:
-                state.r_prev = A.matvec(state.x_prev) - b
-
+            row_residual = abs(A.row_dot(i, x) - b[i])
         if x_star is not None:
-            err_sq = float(np.sum((state.x - x_star) ** 2))
-        res_sq = float(state.r @ state.r)
+            err_sq = float(np.sum((x - x_star) ** 2))
         trace.records.append(TraceRecord(
             k=k,
             index=i,
@@ -343,27 +337,16 @@ def run(
             active_count=active_rec,
             err_sq=err_sq,
             res_sq=res_sq,
-            row_residual_after=abs(float(state.r[i])),
+            row_residual_after=row_residual,
             elapsed_ns=time.perf_counter_ns() - t0,
         ))
         if capture_iterates:
-            iterates.append(state.x.copy())
+            iterates.append(x.copy())
 
-        if x_star is not None:
-            denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
-            if err_sq / denom <= config.rse_tol:
-                trace.termination = "rse_tol"
-                break
-        else:
-            denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-            if res_sq / denom <= config.residual_tol:
-                trace.termination = "residual_tol"
-                break
+        reason = _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config)
+        if reason is not None:
+            trace.termination = reason
+            break
 
-    trace.final_x = state.x.copy()
+    trace.final_x = x.copy()
     return trace
-
-
-def config_for_trial(config: SolverConfig, trial: int) -> SolverConfig:
-    """Copy of ``config`` with the per-trial seed ``config.seed + trial``."""
-    return replace(config, seed=config.seed + trial)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kaczmarz.cli import main
-from kaczmarz.harness import read_matrix_market, read_vector
+from kaczmarz.harness import read_matrix_market, read_trace_csv, read_vector
 
 
 def test_usage_error_exit_code(capsys):
@@ -33,6 +33,16 @@ def test_solve_random_and_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "termination=rse_tol" in out
     assert trace_path.exists()
+
+
+def test_solve_diverging_run_exits_numerical(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "--m", "200", "--n", "40", "--kappa", "3", "--seed", "0",
+                     "--method", "mgrk", "--beta", "3", "--out", str(trace_path)])
+    assert code == 2
+    assert "termination=nonfinite" in capsys.readouterr().out
+    assert read_trace_csv(trace_path).termination == "nonfinite"
 
 
 def test_solve_on_matrix_file(tmp_path, capsys):

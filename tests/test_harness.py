@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ class TestEmission:
         assert [r.index for r in loaded.records] == trace.selections()
         assert [r.gamma for r in loaded.records] == [r.gamma for r in trace.records]
         assert [r.err_sq for r in loaded.records] == [r.err_sq for r in trace.records]
+
+    @pytest.mark.parametrize("variant", ["rk", "grk"])
+    def test_trace_csv_keeps_config_and_missing_residuals(self, tmp_path, variant):
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=11))
+        config = SolverConfig(variant=variant, alpha=0.9, seed=3, max_iters=5000,
+                              rse_tol=1e-10, residual_tol=1e-13, res_zero_tol=1e-15,
+                              refresh_every=40)
+        trace = run(problem, config)
+        loaded = read_trace_csv(write_trace_csv(trace, tmp_path / "t.csv"))
+        # The metadata line stores the resolved gamma mode.
+        assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+        assert [r.res_sq for r in loaded.records] == [r.res_sq for r in trace.records]
+        assert [r.err_sq for r in loaded.records] == [r.err_sq for r in trace.records]
+        assert all((r.res_sq is None) == (variant == "rk") for r in loaded.records)
 
     def test_header_only_trace_file(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])

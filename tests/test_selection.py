@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kaczmarz
 from kaczmarz.linalg import RowAccessMatrix
 from kaczmarz.selection import (
     GammaMode,
+    GreedyCertificateError,
     ProbabilityRule,
     WorkingSet,
     active_set_gamma,
@@ -72,6 +79,32 @@ class TestGreedySet:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=0.0)
+
+    def test_gamma_below_active_mass_raises_typed_error(self):
+        # Scores are [1, 8] and ||r||^2 = 17: with gamma = 1 no row reaches 17.
+        with pytest.raises(GreedyCertificateError, match="certificate"):
+            greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=1.0)
+
+    def test_overflowing_residual_raises_typed_error(self):
+        # Each r_i^2 is finite but ||r||^2 overflows, as in a diverging run.
+        with np.errstate(over="ignore"):
+            with pytest.raises(GreedyCertificateError):
+                greedy_set(DIAG, np.array([1.0e154, 1.3e154]), gamma=5.0)
+
+    def test_certificate_check_survives_optimize_flag(self):
+        code = ("import numpy as np\n"
+                "from kaczmarz.linalg import RowAccessMatrix\n"
+                "from kaczmarz.selection import GreedyCertificateError, greedy_set\n"
+                "A = RowAccessMatrix([[1.0, 0.0], [0.0, 2.0]])\n"
+                "try:\n"
+                "    greedy_set(A, np.array([-1.0, -4.0]), gamma=1.0)\n"
+                "except GreedyCertificateError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(3)\n")
+        src = str(Path(kaczmarz.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+        assert proc.returncode == 0
 
     def test_argmax_always_member(self):
         rng = np.random.default_rng(23)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz.linalg import (
     Problem,
@@ -10,11 +12,8 @@ from kaczmarz.linalg import (
 )
 from kaczmarz.solvers import (
     SolverConfig,
-    SolverState,
     SolverVariant,
-    kaczmarz_project,
-    momentum_step,
-    residual_update,
+    kaczmarz_step,
     run,
 )
 
@@ -52,45 +51,51 @@ class TestConfig:
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
 
 
+def one_row(a_i, b_i):
+    """A single-equation system <a_i, x> = b_i for stepping on row 0."""
+    return RowAccessMatrix([a_i]), np.array([b_i], dtype=float)
+
+
+def project(x, a_i, b_i, alpha=1.0):
+    A, b = one_row(a_i, b_i)
+    x = np.asarray(x, dtype=float)
+    return kaczmarz_step(A, b, 0, x, x, alpha)[0]
+
+
 class TestKaczmarzProject:
     def test_full_step_lands_on_hyperplane(self):
-        out = kaczmarz_project(np.zeros(2), np.array([0.0, 2.0]), 4.0)
+        out = project(np.zeros(2), [0.0, 2.0], 4.0)
         np.testing.assert_allclose(out, [0.0, 2.0])
 
     def test_point_on_hyperplane_unchanged(self):
         x = np.array([3.0, 2.0])
-        out = kaczmarz_project(x, np.array([0.0, 2.0]), 4.0)
+        out = project(x, [0.0, 2.0], 4.0)
         np.testing.assert_allclose(out, x)
 
     def test_half_step(self):
-        out = kaczmarz_project(np.zeros(2), np.array([1.0, 0.0]), 1.0, alpha=0.5)
+        out = project(np.zeros(2), [1.0, 0.0], 1.0, alpha=0.5)
         np.testing.assert_allclose(out, [0.5, 0.0])
 
 
 class TestMomentumStep:
-    def _state(self, x, x_prev):
-        x = np.asarray(x, dtype=float)
-        x_prev = np.asarray(x_prev, dtype=float)
-        return SolverState(x=x, x_prev=x_prev, r=np.zeros(1), r_prev=np.zeros(1))
-
     def test_beta_zero_matches_projection(self):
-        state = self._state([0.3, -1.2], [5.0, 5.0])
-        a, b_i = np.array([1.0, 2.0]), 0.7
+        x, x_prev = np.array([0.3, -1.2]), np.array([5.0, 5.0])
+        A, b = one_row([1.0, 2.0], 0.7)
         np.testing.assert_array_equal(
-            momentum_step(state, a, b_i, 1.0, 0.0),
-            kaczmarz_project(state.x, a, b_i, 1.0))
+            kaczmarz_step(A, b, 0, x, x_prev, 1.0, 0.0)[0],
+            project(x, [1.0, 2.0], 0.7))
 
     def test_hand_example(self):
-        state = self._state([0.0, 2.0], [0.0, 0.0])
-        out = momentum_step(state, np.array([1.0, 0.0]), 1.0, alpha=1.0, beta=0.3)
+        A, b = one_row([1.0, 0.0], 1.0)
+        out, _ = kaczmarz_step(A, b, 0, np.array([0.0, 2.0]), np.zeros(2), alpha=1.0, beta=0.3)
         np.testing.assert_allclose(out, [1.0, 2.6])
 
     def test_first_step_reduces_to_projection(self):
-        state = self._state([1.0, -2.0], [1.0, -2.0])
-        a, b_i = np.array([0.0, 2.0]), 4.0
+        x = np.array([1.0, -2.0])
+        A, b = one_row([0.0, 2.0], 4.0)
         np.testing.assert_allclose(
-            momentum_step(state, a, b_i, 1.0, 0.9),
-            kaczmarz_project(state.x, a, b_i, 1.0))
+            kaczmarz_step(A, b, 0, x, x.copy(), 1.0, 0.9)[0],
+            project(x, [0.0, 2.0], 4.0))
 
 
 class TestResidualUpdate:
@@ -99,10 +104,8 @@ class TestResidualUpdate:
         A, b = problem.A, problem.b
         x = np.zeros(4)
         r = A.matvec(x) - b
-        i = 3
-        scale = r[i] / A.row_norms_sq[i]
-        r_new = residual_update(r, A, i, scale)
-        assert abs(r_new[i]) <= 1e-12 * np.max(np.abs(b))
+        _, r_new = kaczmarz_step(A, b, 3, x, x, r=r)
+        assert abs(r_new[3]) <= 1e-12 * np.max(np.abs(b))
 
     def test_matches_rank_one_formula_3x3(self):
         rng = np.random.default_rng(8)
@@ -114,8 +117,12 @@ class TestResidualUpdate:
         i, alpha = 1, 0.8
         scale = alpha * r[i] / A.row_norms_sq[i]
         x_new = x - scale * mat[i]
-        np.testing.assert_allclose(
-            residual_update(r, A, i, scale), mat @ x_new - b, rtol=1e-12, atol=1e-14)
+        out_x, out_r = kaczmarz_step(A, b, i, x, x, alpha, r=r)
+        np.testing.assert_allclose(out_x, x_new, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(out_r, mat @ x_new - b, rtol=1e-12, atol=1e-14)
+        # Without the residual the step reads r_i from the row alone.
+        np.testing.assert_allclose(kaczmarz_step(A, b, i, x, x, alpha)[0], x_new,
+                                   rtol=1e-14, atol=1e-15)
 
     def test_drift_after_500_random_steps(self):
         problem = random_problem(30, 12, seed=9)
@@ -125,17 +132,16 @@ class TestResidualUpdate:
         r = A.matvec(x) - b
         for _ in range(500):
             i = int(rng.integers(30))
-            scale = r[i] / A.row_norms_sq[i]
-            x = x - scale * A.row(i)
-            r = residual_update(r, A, i, scale)
+            x, r = kaczmarz_step(A, b, i, x, x, r=r)
         exact = A.matvec(x) - b
         assert np.linalg.norm(r - exact) <= 1e-10 * max(1.0, np.linalg.norm(exact))
 
     def test_momentum_needs_previous_residual(self):
         problem = random_problem(5, 3, seed=1)
-        r = problem.A.matvec(np.zeros(3)) - problem.b
+        x = np.zeros(3)
+        r = problem.A.matvec(x) - problem.b
         with pytest.raises(ValueError):
-            residual_update(r, problem.A, 0, 0.5, beta=0.4)
+            kaczmarz_step(problem.A, problem.b, 0, x, x, 0.5, beta=0.4, r=r)
 
 
 class TestRunHandTrace:
@@ -284,3 +290,103 @@ class TestGammaModeOrdering:
             i = int(ws.indices[sample_index(probs, rng)])
             x = x - (r[i] / A.row_norms_sq[i]) * A.row(i)
             last = i
+
+
+def reference_row_action(problem, variant, seed, max_iters, rse_tol):
+    """rk/cyclic as a loop that keeps the full residual r = Ax - b by rank-1 updates."""
+    A, b, x_star = problem.A, problem.b, problem.x_star
+    m, n = A.shape
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(A.row_norms_sq)
+    x = np.zeros(n)
+    r = A.matvec(x) - b
+    selections = []
+    for k in range(max_iters):
+        if variant == "rk":
+            i = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), m - 1)
+        else:
+            i = k % m
+        coeff = r[i] / A.row_norms_sq[i]
+        x = x - coeff * A.row(i)
+        r = r - coeff * A.row_image(i)
+        selections.append(i)
+        if np.sum((x - x_star) ** 2) / (x_star @ x_star) <= rse_tol:
+            break
+    return selections, x
+
+
+def sparse_problem(m, n, seed):
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((m, n))
+    dense[np.abs(dense) < 1.0] = 0.0
+    dense[:, 0] += 1.0
+    A = RowAccessMatrix(sp.csr_array(dense))
+    b = A.matvec(rng.standard_normal(n))
+    return Problem(A, b, x_star=min_norm_solution(A, b))
+
+
+class TestResidualFreePath:
+    @pytest.mark.parametrize("variant", ["rk", "cyclic"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_matches_full_residual_reference(self, variant, storage):
+        problem = (random_problem(80, 12, seed=30, kappa=4.0) if storage == "dense"
+                   else sparse_problem(80, 12, seed=31))
+        trace = run(problem, SolverConfig(variant=variant, seed=7, max_iters=20_000,
+                                          rse_tol=1e-10))
+        selections, x_ref = reference_row_action(problem, variant, 7, 20_000, 1e-10)
+        assert trace.termination == "rse_tol"
+        assert trace.selections() == selections
+        assert np.linalg.norm(trace.final_x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("variant", ["rk", "cyclic"])
+    def test_records_carry_no_residual(self, variant):
+        problem = random_problem(40, 8, seed=32, kappa=3.0)
+        trace = run(problem, SolverConfig(variant=variant, seed=2, max_iters=300))
+        assert all(rec.res_sq is None for rec in trace.records)
+        tol = 1e-10 * np.max(np.abs(problem.b))
+        assert all(rec.row_residual_after <= tol for rec in trace.records)
+
+    @pytest.mark.parametrize("variant", ["rk", "cyclic"])
+    def test_residual_stopping_without_x_star(self, variant):
+        base = random_problem(30, 8, seed=33, kappa=3.0)
+        problem = Problem(base.A, base.b)
+        trace = run(problem, SolverConfig(variant=variant, seed=4, max_iters=50_000,
+                                          residual_tol=1e-14), capture_iterates=True)
+        assert trace.termination == "residual_tol"
+        for rec, x in zip(trace.records, trace.iterates[1:]):
+            exact = float(np.sum((problem.A.matvec(x) - problem.b) ** 2))
+            assert rec.res_sq == pytest.approx(exact, rel=1e-6, abs=1e-24)
+        b_norm_sq = float(problem.b @ problem.b)
+        assert trace.records[-1].res_sq / b_norm_sq <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 10),
+           alpha=st.floats(0.05, 1.95), variant=st.sampled_from(["rk", "cyclic"]))
+    def test_error_nonincreasing_for_relaxed_steps(self, seed, m, n, alpha, variant):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, n))
+        A = RowAccessMatrix(mat)
+        b = mat @ rng.standard_normal(n)
+        problem = Problem(A, b, x_star=min_norm_solution(A, b))
+        trace = run(problem, SolverConfig(variant=variant, alpha=alpha, seed=seed,
+                                          max_iters=200))
+        errs = trace.err_history()
+        assert np.all(np.diff(errs) <= 1e-12 * errs[0])
+
+
+class TestNonfinite:
+    def test_diverging_momentum_run_ends_nonfinite(self):
+        problem = random_problem(200, 40, seed=0, kappa=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(problem, SolverConfig(variant="mgrk", beta=3.0, seed=0, max_iters=5000))
+        assert trace.termination == "nonfinite"
+        assert not np.isfinite(trace.records[-1].res_sq)
+        assert all(np.isfinite(rec.res_sq) for rec in trace.records[:-1])
+
+    def test_diverging_residual_free_run_ends_nonfinite(self):
+        problem = random_problem(30, 6, seed=34, kappa=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(problem, SolverConfig(variant="cyclic", alpha=3.0, max_iters=100_000))
+        assert trace.termination == "nonfinite"
+        assert trace.records[-1].res_sq is None
+        assert not np.isfinite(trace.records[-1].err_sq)
