@@ -12,14 +12,12 @@ from .linalg import (
     Problem,
     RowAccessMatrix,
     min_norm_solution,
-    residual,
     smallest_nonzero_singular_value,
 )
 from .selection import (
     GammaMode,
     GreedyCertificateError,
     ProbabilityRule,
-    WorkingSet,
     active_set_gamma,
     greedy_set,
     sample_index,

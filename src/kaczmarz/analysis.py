@@ -3,7 +3,8 @@
 Everything here is pure arithmetic on (sigma_min^2, ||A||_F^2, gamma, alpha,
 beta) plus checks of recorded solver traces against the implied bounds:
 
-* per-step contraction factor 1 - sigma^2/gamma_k for the greedy solver,
+* per-step contraction factor 1 - alpha(2 - alpha) sigma^2/gamma_k for the
+  greedy solver,
 * the k-step envelopes (plain and momentum),
 * iteration-complexity constants from both the in-expectation and the
   pathwise rate.
@@ -245,19 +246,24 @@ def certify_trace(
     """Check a recorded trace against its convergence bound, step by step.
 
     Runs without momentum are held to the per-step contraction
-    ``err_{k+1} <= (1 - sigma^2/gamma_k) err_k + slack`` using the gamma
-    recorded at each step; momentum runs are held to the envelope
-    ``err_{k+1} <= q^k (1 + delta) err_0 + slack``.  The slack is
-    ``slack_scale`` times the initial squared error, absorbing floating-point
-    accumulation only.  Returns the first violating step, if any.
+    ``err_{k+1} <= (1 - alpha(2 - alpha) sigma^2/gamma_k) err_k + slack`` using
+    the gamma recorded at each step, which follows from
+    ``err_{k+1} = err_k - alpha(2 - alpha) r_i^2/||a_i||^2``; momentum runs are
+    held to the envelope ``err_{k+1} <= q^k (1 + delta) err_0 + slack``.  The
+    slack is ``slack_scale`` times the initial squared error, absorbing
+    floating-point accumulation only.  Returns the first violating step, if
+    any.  Step sizes outside the proven range (alpha in (0, 2) without
+    momentum) are refused with ``ValueError``.
     """
     if trace.initial_err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
     err0 = trace.initial_err_sq
     slack = slack_scale * err0
-    beta = trace.config.beta
+    alpha, beta = trace.config.alpha, trace.config.beta
+    _check_momentum_hypotheses(alpha, beta)
 
     if beta == 0.0:
+        rate = alpha * (2.0 - alpha)
         prev = err0
         for rec in trace.records:
             if rec.err_sq is None:
@@ -267,13 +273,13 @@ def certify_trace(
                     f"record {rec.k} has no gamma; per-step certification "
                     "applies to greedy traces only"
                 )
-            bound = (1.0 - sigma_min_sq / rec.gamma) * prev + slack
+            bound = (1.0 - rate * sigma_min_sq / rec.gamma) * prev + slack
             if rec.err_sq > bound:
                 return CertificationResult(False, rec.k, len(trace.records), "per_step")
             prev = rec.err_sq
         return CertificationResult(True, None, len(trace.records), "per_step")
 
-    report = momentum_factors(trace.config.alpha, beta, sigma_min_sq, trace.frobenius_sq)
+    report = momentum_factors(alpha, beta, sigma_min_sq, trace.frobenius_sq)
     if not report.feasible:
         raise ValueError(
             f"momentum constants infeasible (gamma1 + gamma2 = "

@@ -214,6 +214,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.config:
         _apply_config_file(args, _read_config_file(args.config))
+    if args.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {args.format!r}")
     base = _config_from_args(args)
     if args.methods:
         methods = [_parse_method_spec(s, base) for s in args.methods.split(",")]
@@ -226,19 +228,19 @@ def _cmd_bench(args) -> int:
         source = RandomProblemSpec(m=args.m, n=args.n, r=rank,
                                    kappa=args.kappa, seed=args.seed)
     spec = ExperimentSpec(source=source, methods=methods, trials=args.trials,
-                          certify=args.certify, problem_seed=args.seed,
-                          out_path=args.out, out_format=args.format)
+                          certify=args.certify, problem_seed=args.seed)
     result = run_experiment(spec)
-    text = emit_results(result, format=spec.out_format, path=spec.out_path)
-    if spec.out_path:
-        print(f"results written to {spec.out_path}")
+    text = emit_results(result, format=args.format, path=args.out)
+    if args.out:
+        print(f"results written to {args.out}")
     else:
         print(text, end="")
     for meth in result.methods:
         print(f"# {meth.label}: mean_iters={meth.mean_iters:.1f} "
               f"mean_seconds={meth.mean_seconds:.4f} hit_max_iters={meth.hit_max_iters}",
               file=sys.stderr)
-    return 0
+    diverged = any(t.termination == "nonfinite" for meth in result.methods for t in meth.trials)
+    return NUMERICAL_ERROR if diverged else 0
 
 
 def _cmd_bound(args) -> int:

@@ -185,8 +185,6 @@ class ExperimentSpec:
     certify: bool = False
     keep_traces: bool = False  # attach each trial's full trace to the result
     problem_seed: int = 0      # b-synthesis seed for file sources
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -196,8 +194,6 @@ class ExperimentSpec:
             raise ValueError(f"method labels must be unique, got {labels}")
         if not self.methods:
             raise ValueError("at least one method is required")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"out_format must be csv or json, got {self.out_format!r}")
 
 
 @dataclass
@@ -322,7 +318,8 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
                             trials=spec.trials, methods=methods)
 
 
-CSV_COLUMNS = ["method", "trial", "seed", "iters", "seconds", "final_rse", "certified"]
+CSV_COLUMNS = ["method", "trial", "seed", "iters", "seconds", "final_rse", "certified",
+               "termination"]
 
 
 def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> str:
@@ -343,13 +340,13 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
                 writer.writerow([
                     meth.label, t.trial, t.seed, t.iters, f"{t.seconds:.6f}",
                     "" if t.final_rse is None else f"{t.final_rse:.6e}",
-                    "" if t.certified is None else t.certified,
+                    "" if t.certified is None else t.certified, t.termination,
                 ])
         for meth in result.methods:
             n_cert = sum(1 for t in meth.trials if t.certified)
             writer.writerow([
                 meth.label, "mean", "", f"{meth.mean_iters:.2f}",
-                f"{meth.mean_seconds:.6f}", "", n_cert,
+                f"{meth.mean_seconds:.6f}", "", n_cert, "",
             ])
         text = buf.getvalue()
     else:
@@ -361,17 +358,28 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 
 # -- trace files --------------------------------------------------------------
 
-TRACE_COLUMNS = ["k", "index", "set_size", "gamma", "err_sq", "res_sq"]
+TRACE_COLUMNS = list(TraceRecord._fields)
 
 # SolverConfig fields the metadata line stores beside the step parameters.
-_STOPPING_KEYS = ("max_iters", "rse_tol", "residual_tol", "res_zero_tol", "refresh_every")
+_STOPPING_KEYS = ("max_iters", "rse_tol")
+
+
+def _field(text: str):
+    """A trace-CSV field back to its value: empty is None, integers stay int."""
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def write_trace_csv(trace: Trace, path) -> Path:
     """Per-iteration trace CSV with a JSON metadata comment on line one.
 
-    Metrics a record does not carry (``err_sq`` without x*, ``res_sq`` where
-    the run kept no full residual) are written as empty fields.
+    The columns are the ``TraceRecord`` fields.  Values a record does not
+    carry (``err_sq`` without x*, ``res_sq`` where the run kept no full
+    residual, ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
     """
     meta = {
         "variant": trace.config.variant.value,
@@ -395,21 +403,15 @@ def write_trace_csv(trace: Trace, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace.records:
-            writer.writerow([
-                rec.k, rec.index,
-                "" if rec.set_size is None else rec.set_size,
-                "" if rec.gamma is None else repr(rec.gamma),
-                "" if rec.err_sq is None else repr(rec.err_sq),
-                "" if rec.res_sq is None else repr(rec.res_sq),
-            ])
+            writer.writerow(["" if value is None else value for value in rec])
     return path
 
 
 def read_trace_csv(path) -> Trace:
-    """Rebuild a trace from ``write_trace_csv`` output (metrics only).
+    """Rebuild a trace from ``write_trace_csv`` output.
 
-    Timing, iterates, and per-record extras are not stored in the file; the
-    reconstructed trace carries everything certification needs.
+    The records equal the written ones; iterates and ``final_x`` are not
+    stored in the file.
     """
     path = Path(path)
     with path.open() as fh:
@@ -418,19 +420,8 @@ def read_trace_csv(path) -> Trace:
             raise ValueError(f"{path}: missing metadata line")
         meta = json.loads(first[1:].strip())
         reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            records.append(TraceRecord(
-                k=int(row["k"]),
-                index=int(row["index"]),
-                set_size=int(row["set_size"]) if row["set_size"] else None,
-                gamma=float(row["gamma"]) if row["gamma"] else None,
-                active_count=None,
-                err_sq=float(row["err_sq"]) if row["err_sq"] else None,
-                res_sq=float(row["res_sq"]) if row["res_sq"] else None,
-                row_residual_after=float("nan"),
-                elapsed_ns=0,
-            ))
+        records = [TraceRecord(*(_field(row[name]) for name in TRACE_COLUMNS))
+                   for row in reader]
     config = SolverConfig(
         variant=meta["variant"],
         alpha=meta["alpha"],
@@ -439,7 +430,8 @@ def read_trace_csv(path) -> Trace:
         gamma_mode=meta["gamma_mode"],
         prob_rule=meta["prob_rule"],
         seed=meta["seed"],
-        # Files written before the stopping parameters were stored get the defaults.
+        # Older files may lack these keys (defaults apply) or carry stopping
+        # keys SolverConfig no longer has (ignored).
         **{key: meta[key] for key in _STOPPING_KEYS if key in meta},
     )
     return Trace(

@@ -17,7 +17,6 @@ __all__ = [
     "InconsistentSystemError",
     "RowAccessMatrix",
     "Problem",
-    "residual",
     "smallest_nonzero_singular_value",
     "min_norm_solution",
 ]
@@ -34,6 +33,8 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64).ravel()
     if arr.shape[0] != length:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has NaN or infinite entries")
     return arr
 
 
@@ -41,8 +42,9 @@ class RowAccessMatrix:
     """An immutable m-by-n matrix with cached squared row norms.
 
     Accepts a dense 2-D array-like or any scipy sparse matrix (stored in
-    canonical CSR form).  Rows with zero norm are rejected outright: every
-    row must define a hyperplane for projection methods to make sense.
+    canonical CSR form).  NaN or infinite entries and rows with zero norm are
+    rejected outright: every row must define a hyperplane for projection
+    methods to make sense.
     """
 
     def __init__(self, matrix):
@@ -55,6 +57,7 @@ class RowAccessMatrix:
                 raise ValueError("matrix must have at least one row and column")
             self._dense = None
             self._csr = csr
+            values = csr.data
             sq = csr.copy()
             sq.data **= 2
             self.row_norms_sq = np.asarray(sq.sum(axis=1)).ravel()
@@ -68,9 +71,12 @@ class RowAccessMatrix:
                 raise ValueError("matrix must have at least one row and column")
             self._dense = dense
             self._csr = None
+            values = dense
             self.row_norms_sq = np.einsum("ij,ij->i", dense, dense)
             dense.setflags(write=False)
 
+        if not np.isfinite(values).all():
+            raise ValueError("matrix has NaN or infinite entries")
         zero_rows = np.flatnonzero(self.row_norms_sq == 0.0)
         if zero_rows.size:
             raise ValueError(
@@ -141,9 +147,6 @@ class RowAccessMatrix:
             return self._dense @ x
         return self._csr @ x
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
-
     def to_dense(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense
@@ -192,13 +195,6 @@ class Problem:
     def __repr__(self) -> str:
         star = "with x*" if self.x_star is not None else "no x*"
         return f"Problem({self.A!r}, {star})"
-
-
-def residual(A: RowAccessMatrix, x, b) -> np.ndarray:
-    """Residual vector r with r_i = <a_i, x> - b_i."""
-    x = _as_vector(x, A.n, "x")
-    b = _as_vector(b, A.m, "b")
-    return A.matvec(x) - b
 
 
 def _svd_rank_cutoff(s: np.ndarray, m: int, n: int) -> float:

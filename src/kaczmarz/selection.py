@@ -8,7 +8,7 @@ one working row from that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "GreedyCertificateError",
     "GammaMode",
     "ProbabilityRule",
-    "WorkingSet",
     "active_set_gamma",
     "greedy_set",
     "sampling_distribution",
@@ -28,7 +27,7 @@ __all__ = [
 
 
 class GreedyCertificateError(ValueError):
-    """A greedy working set fails the ||r||^2/gamma certificate."""
+    """A greedy working set fails, or cannot be held to, the ||r||^2/gamma certificate."""
 
 
 class GammaMode(str, Enum):
@@ -42,19 +41,6 @@ class GammaMode(str, Enum):
 class ProbabilityRule(str, Enum):
     RESIDUAL = "residual"  # p_i proportional to r_i^2 over the working set
     UNIFORM = "uniform"
-
-
-@dataclass(frozen=True)
-class WorkingSet:
-    """Rows that cleared the greedy threshold for the current residual."""
-
-    indices: np.ndarray   # sorted row indices
-    gamma: float          # threshold mass used to build the set
-    active_count: int     # rows with |r_i| above the zero tolerance
-    threshold: float      # right-hand side of the greedy inequality
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
 
 
 def active_set_gamma(
@@ -97,9 +83,9 @@ def greedy_set(
     r: np.ndarray,
     gamma: float,
     theta: float = 0.5,
-    active_count: int | None = None,
-) -> WorkingSet:
-    """Rows whose normalized squared residual clears the mixed threshold.
+) -> np.ndarray:
+    """Sorted indices of the rows whose normalized squared residual clears the
+    mixed threshold.
 
     Keeps every i with ``r_i^2/||a_i||^2 >= theta*max + (1-theta)*||r||^2/gamma``
     (ties included).  The best-scoring row is always a member, so the set is
@@ -115,6 +101,8 @@ def greedy_set(
     rss = float(r @ r)
     if rss == 0.0:
         raise ValueError("residual is zero: system already solved")
+    if not math.isfinite(rss):
+        raise GreedyCertificateError(f"||r||^2 = {rss!r} is not finite")
 
     scores = (r * r) / A.row_norms_sq
     best = int(np.argmax(scores))
@@ -123,34 +111,30 @@ def greedy_set(
     mask[best] = True  # guard against the argmax dropping out to rounding
     indices = np.flatnonzero(mask)
 
-    if active_count is None:
-        active_count = int(np.count_nonzero(r))
-
     # Every member is certified to sit at or above the mean level ||r||^2/gamma.
     if not float(scores[indices].min()) >= (rss / gamma) * (1.0 - 1e-9):
         raise GreedyCertificateError(
             f"greedy member below the ||r||^2/gamma certificate (||r||^2 = {rss:.6g}, "
-            f"gamma = {gamma:.6g}): gamma is below the active-set mass or ||r||^2 overflowed")
-    return WorkingSet(indices=indices, gamma=float(gamma),
-                      active_count=active_count, threshold=float(threshold))
+            f"gamma = {gamma:.6g}): gamma is below the active-set mass")
+    return indices
 
 
 def sampling_distribution(
-    r: np.ndarray, ws: WorkingSet, rule: ProbabilityRule
+    r: np.ndarray, indices: np.ndarray, rule: ProbabilityRule
 ) -> np.ndarray:
-    """Selection probabilities over ``ws.indices``.
+    """Selection probabilities over the working-set rows ``indices``.
 
     Residual rule: p_i proportional to r_i^2 restricted to the working set.
-    Uniform rule: 1/|ws|.  Probabilities are normalized to sum to one.
+    Uniform rule: 1/|set|.  Probabilities are normalized to sum to one.
     """
     rule = ProbabilityRule(rule)
-    size = len(ws)
+    size = len(indices)
     if size == 0:
         raise ValueError("working set is empty")
     if rule is ProbabilityRule.UNIFORM:
         return np.full(size, 1.0 / size)
     r = np.asarray(r, dtype=np.float64)
-    weights = r[ws.indices] ** 2
+    weights = r[indices] ** 2
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("all working-set residuals are zero")
@@ -166,7 +150,7 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     if probs.size == 0:
         raise ValueError("cannot sample from an empty distribution")
     cdf = np.cumsum(probs)
-    if abs(cdf[-1] - 1.0) > 1e-9:
+    if not abs(cdf[-1] - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {cdf[-1]!r}, expected 1")
     u = rng.random() * cdf[-1]
     return min(int(np.searchsorted(cdf, u, side="right")), probs.size - 1)

@@ -9,7 +9,6 @@ mutable state (iterates, residual, generator, trace) is per-run.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 # Residual recomputed from scratch this often to bound incremental drift.
-DEFAULT_REFRESH_EVERY = 1000
+REFRESH_EVERY = 1000
 
 # Cap on cached residual-update directions (A @ a_i), in bytes.
 _IMAGE_CACHE_BYTES = 64_000_000
@@ -55,8 +54,8 @@ class SolverConfig:
 
     ``gamma_mode=None`` resolves per variant: the plain greedy solver uses
     the exact active-set mass, the momentum solver the full Frobenius mass.
-    ``res_zero_tol=None`` resolves to ``1e-14 * max(1, ||b||_inf)`` at run
-    time; it is the floating-point test for "this residual entry is zero".
+    ``rse_tol`` bounds the relative squared error ||x - x*||^2/||x*||^2 when
+    x* is known and the relative squared residual ||r||^2/||b||^2 when not.
     """
 
     variant: SolverVariant = SolverVariant.GRK
@@ -68,9 +67,6 @@ class SolverConfig:
     seed: int = 0
     max_iters: int = 100_000
     rse_tol: float = 1e-12
-    residual_tol: float = 1e-12
-    res_zero_tol: float | None = None
-    refresh_every: int = DEFAULT_REFRESH_EVERY
 
     def __post_init__(self):
         self.variant = SolverVariant(self.variant)
@@ -87,8 +83,8 @@ class SolverConfig:
             raise ValueError("the grk variant runs without momentum; use mgrk for beta > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.rse_tol <= 0.0 or self.residual_tol <= 0.0:
-            raise ValueError("stopping tolerances must be positive")
+        if self.rse_tol <= 0.0:
+            raise ValueError("the stopping tolerance must be positive")
 
     def resolved_gamma_mode(self) -> GammaMode:
         if self.gamma_mode is not None:
@@ -99,25 +95,26 @@ class SolverConfig:
 
 
 class TraceRecord(NamedTuple):
-    """One completed iteration; metrics refer to the iterate after the step."""
+    """One completed iteration; metrics refer to the iterate after the step.
+
+    The fields are the trace-CSV columns, in order.
+    """
 
     k: int
     index: int
-    set_size: int | None
-    gamma: float | None
-    active_count: int | None
-    err_sq: float | None
+    set_size: int | None  # greedy working-set size; None for rk and cyclic
+    gamma: float | None   # greedy threshold mass; None for rk and cyclic
+    err_sq: float | None  # None without x*
     res_sq: float | None  # None where the run keeps no full residual
-    row_residual_after: float
-    elapsed_ns: int
 
 
 @dataclass
 class Trace:
     """Per-iteration records plus the run's initial metrics and outcome.
 
-    ``termination`` is ``rse_tol``, ``residual_tol``, ``converged`` (greedy
-    variants, zero residual), ``max_iters`` or ``nonfinite`` (a metric
+    ``termination`` is ``rse_tol`` (error below ``config.rse_tol``),
+    ``residual_tol`` (no x*, residual below ``config.rse_tol``), ``converged``
+    (greedy variants, zero residual), ``max_iters`` or ``nonfinite`` (a metric
     overflowed).
     """
 
@@ -211,7 +208,7 @@ def _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config) -> str | Non
         denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
         return "rse_tol" if err_sq / denom <= config.rse_tol else None
     denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-    return "residual_tol" if res_sq / denom <= config.residual_tol else None
+    return "residual_tol" if res_sq / denom <= config.rse_tol else None
 
 
 def run(
@@ -225,7 +222,7 @@ def run(
     Starts from zero unless ``x0`` is given.  Error metrics are measured
     against ``problem.x_star``, which is the correct target for x0 = 0 (and
     for any x0 whose offset from x* lies in Range(A^T)).  Identical
-    (problem, config) pairs produce identical traces apart from timings.
+    (problem, config) pairs produce identical traces.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
@@ -247,9 +244,8 @@ def run(
     x_star_norm_sq = float(x_star @ x_star) if x_star is not None else None
     b_norm_sq = float(b @ b)
     b_inf = float(np.max(np.abs(b))) if m else 0.0
-    tau_res = config.res_zero_tol
-    if tau_res is None:
-        tau_res = 1e-14 * max(1.0, b_inf)
+    # Floating-point test for "this residual entry is zero".
+    tau_res = 1e-14 * max(1.0, b_inf)
 
     err_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
     res_sq = float(r @ r)
@@ -283,12 +279,10 @@ def run(
     rk_cdf = np.cumsum(A.row_norms_sq) if variant is SolverVariant.RK else None
     image_cache: dict[int, np.ndarray] = {}
     cache_cap = max(16, _IMAGE_CACHE_BYTES // (8 * m))
-    refresh = config.refresh_every
     last_index = None
-    t0 = time.perf_counter_ns()
 
     for k in range(config.max_iters):
-        set_size = gamma_rec = active_rec = None
+        set_size = gamma_rec = None
 
         if greedy:
             last = last_index if gamma_mode is GammaMode.LAST_ROW else None
@@ -296,10 +290,10 @@ def run(
             if active == 0:
                 trace.termination = "converged"
                 break
-            ws = greedy_set(A, r, gamma, theta, active_count=active)
-            probs = sampling_distribution(r, ws, config.prob_rule)
-            i = int(ws.indices[sample_index(probs, rng)])
-            set_size, gamma_rec, active_rec = len(ws), gamma, active
+            indices = greedy_set(A, r, gamma, theta)
+            probs = sampling_distribution(r, indices, config.prob_rule)
+            i = int(indices[sample_index(probs, rng)])
+            set_size, gamma_rec = len(indices), gamma
         elif variant is SolverVariant.RK:
             u = rng.random() * rk_cdf[-1]
             i = min(int(np.searchsorted(rk_cdf, u, side="right")), m - 1)
@@ -319,27 +313,14 @@ def run(
         last_index = i
 
         if needs_residual:
-            if refresh and (k + 1) % refresh == 0:
+            if (k + 1) % REFRESH_EVERY == 0:
                 r = A.matvec(x) - b
                 if beta != 0.0:
                     r_prev = A.matvec(x_prev) - b
             res_sq = float(r @ r)
-            row_residual = abs(float(r[i]))
-        else:
-            row_residual = abs(A.row_dot(i, x) - b[i])
         if x_star is not None:
             err_sq = float(np.sum((x - x_star) ** 2))
-        trace.records.append(TraceRecord(
-            k=k,
-            index=i,
-            set_size=set_size,
-            gamma=gamma_rec,
-            active_count=active_rec,
-            err_sq=err_sq,
-            res_sq=res_sq,
-            row_residual_after=row_residual,
-            elapsed_ns=time.perf_counter_ns() - t0,
-        ))
+        trace.records.append(TraceRecord(k, i, set_size, gamma_rec, err_sq, res_sq))
         if capture_iterates:
             iterates.append(x.copy())
 

@@ -63,7 +63,8 @@ def greedy_suite():
         # The pathwise checks constrain every executed iteration; a fixed
         # budget keeps the 50-problem sweep in seconds.
         trace = run(problem, SolverConfig(variant="grk", gamma_mode="exact",
-                                          seed=1000 + spec.seed, max_iters=1200))
+                                          seed=1000 + spec.seed, max_iters=1200),
+                    capture_iterates=True)
         suite.append((spec, problem, trace, sigma_sq, gamma))
     return suite
 
@@ -107,7 +108,8 @@ def test_criterion_3_zeroed_previous_row(greedy_suite):
     with verdict("criterion 3: previously hit row has zero residual"):
         for spec, problem, trace, _, _ in greedy_suite:
             tol = 1e-10 * np.max(np.abs(problem.b))
-            worst = max((rec.row_residual_after for rec in trace.records), default=0.0)
+            worst = max((abs(problem.A.row_dot(rec.index, x) - problem.b[rec.index])
+                         for rec, x in zip(trace.records, trace.iterates[1:])), default=0.0)
             assert worst <= tol, f"{spec}: |r[i_prev]| = {worst} > {tol}"
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from kaczmarz.analysis import (
     momentum_factors,
     rate_report,
 )
-from kaczmarz.linalg import Problem, RowAccessMatrix
+from kaczmarz.harness import RandomProblemSpec, gen_random_problem
+from kaczmarz.linalg import Problem, RowAccessMatrix, smallest_nonzero_singular_value
 from kaczmarz.solvers import SolverConfig, run
 
 DIAG = RowAccessMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -255,4 +257,21 @@ class TestCertifyTrace:
         problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])
         trace = run(problem, SolverConfig(variant="mgrk", beta=0.9, seed=0, max_iters=500))
         with pytest.raises(ValueError, match="infeasible"):
+            certify_trace(trace, sigma_min_sq=1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relaxed_steps_certify(self, seed):
+        problem = gen_random_problem(RandomProblemSpec(m=200, n=40, r=40, kappa=3.0, seed=0))
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        trace = run(problem, SolverConfig(variant="grk", alpha=0.1, seed=seed))
+        assert trace.termination == "rse_tol"
+        assert certify_trace(trace, sigma_sq).passed
+        # The unrelaxed factor 1 - sigma^2/gamma_k does not hold for these steps.
+        unrelaxed = replace(trace, config=replace(trace.config, alpha=1.0))
+        assert not certify_trace(unrelaxed, sigma_sq).passed
+
+    def test_step_size_outside_proven_range_refused(self):
+        problem = gen_random_problem(RandomProblemSpec(m=200, n=40, r=40, kappa=3.0, seed=0))
+        trace = run(problem, SolverConfig(variant="grk", alpha=2.5, seed=0, max_iters=300))
+        with pytest.raises(ValueError, match="alpha"):
             certify_trace(trace, sigma_min_sq=1.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kaczmarz import cli
 from kaczmarz.cli import main
 from kaczmarz.harness import read_matrix_market, read_trace_csv, read_vector
 
@@ -64,6 +65,16 @@ def test_bench_with_flags(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 + 2
 
 
+def test_bench_diverging_run_exits_numerical(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["bench", "--m", "200", "--n", "40", "--kappa", "3", "--seed", "0",
+                     "--methods", "mgrk:beta=3", "--trials", "2", "--max-iters", "5000"])
+    assert code == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split(",")[-1] == "termination"
+    assert [line.split(",")[-1] for line in lines[1:3]] == ["nonfinite", "nonfinite"]
+
+
 def test_bench_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     out = tmp_path / "res.json"
@@ -83,6 +94,17 @@ def test_bench_with_config_file(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["trials"] == 2
     assert [m["label"] for m in data["methods"]] == ["grk", "mgrk:beta=0.2"]
+
+
+def test_bench_config_file_format_checked_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_solve)
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("format = xml\n")
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert "format" in capsys.readouterr().err
 
 
 def test_bench_unknown_config_key(tmp_path, capsys):

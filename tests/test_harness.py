@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz.harness import (
     ExperimentSpec,
@@ -19,7 +23,7 @@ from kaczmarz.harness import (
     write_trace_csv,
     write_vector,
 )
-from kaczmarz.linalg import Problem, RowAccessMatrix
+from kaczmarz.linalg import Problem, RowAccessMatrix, min_norm_solution
 from kaczmarz.solvers import SolverConfig, run
 
 
@@ -226,6 +230,9 @@ class TestEmission:
         text = emit_results(result, "csv", tmp_path / "r.csv")
         lines = [l for l in text.strip().splitlines() if l]
         assert len(lines) == 1 + 2 * 3 + 2  # header + methods*trials + summaries
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row["termination"] for row in rows] == \
+            [t.termination for m in result.methods for t in m.trials] + ["", ""]
 
     def test_json_round_trip(self, tmp_path):
         result = self._result()
@@ -253,8 +260,7 @@ class TestEmission:
     def test_trace_csv_keeps_config_and_missing_residuals(self, tmp_path, variant):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=11))
         config = SolverConfig(variant=variant, alpha=0.9, seed=3, max_iters=5000,
-                              rse_tol=1e-10, residual_tol=1e-13, res_zero_tol=1e-15,
-                              refresh_every=40)
+                              rse_tol=1e-10)
         trace = run(problem, config)
         loaded = read_trace_csv(write_trace_csv(trace, tmp_path / "t.csv"))
         # The metadata line stores the resolved gamma mode.
@@ -262,6 +268,36 @@ class TestEmission:
         assert [r.res_sq for r in loaded.records] == [r.res_sq for r in trace.records]
         assert [r.err_sq for r in loaded.records] == [r.err_sq for r in trace.records]
         assert all((r.res_sq is None) == (variant == "rk") for r in loaded.records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 30), n=st.integers(1, 8),
+           variant=st.sampled_from(["cyclic", "rk", "grk", "mgrk"]), known=st.booleans())
+    def test_trace_csv_round_trip_returns_equal_records(self, tmp_path_factory, seed, m, n,
+                                                        variant, known):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, n))
+        A = RowAccessMatrix(mat)
+        b = mat @ rng.standard_normal(n)
+        problem = Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
+        config = SolverConfig(variant=variant, beta=0.2 if variant == "mgrk" else 0.0,
+                              seed=seed, max_iters=100)
+        trace = run(problem, config)
+        path = write_trace_csv(trace, tmp_path_factory.mktemp("trace") / "t.csv")
+        assert read_trace_csv(path).records == trace.records
+
+    def test_older_metadata_line_loads(self, tmp_path):
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=12))
+        config = SolverConfig(variant="grk", seed=4, max_iters=5000, rse_tol=1e-10)
+        trace = run(problem, config)
+        path = write_trace_csv(trace, tmp_path / "t.csv")
+        first, rest = path.read_text().split("\n", 1)
+        meta = json.loads(first[1:])
+        # Stopping keys that earlier versions stored and SolverConfig no longer has.
+        meta.update(residual_tol=1e-13, res_zero_tol=None, refresh_every=1000)
+        path.write_text("# " + json.dumps(meta) + "\n" + rest)
+        loaded = read_trace_csv(path)
+        assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+        assert loaded.records == trace.records
 
     def test_header_only_trace_file(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])

@@ -7,7 +7,6 @@ from kaczmarz.linalg import (
     Problem,
     RowAccessMatrix,
     min_norm_solution,
-    residual,
     smallest_nonzero_singular_value,
 )
 
@@ -78,10 +77,16 @@ class TestRowAccessMatrix:
         S = RowAccessMatrix(sp.csr_array(dense))
         x = rng.standard_normal(17)
         b = rng.standard_normal(40)
-        rd = residual(A, x, b)
-        rs = residual(S, x, b)
+        rd = A.matvec(x) - b
+        rs = S.matvec(x) - b
         scale = np.max(np.abs(rd))
         np.testing.assert_allclose(rs, rd, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array])
+    def test_non_finite_entries_rejected(self, storage):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                RowAccessMatrix(storage(np.array([[1.0, bad], [0.0, 1.0]])))
 
     def test_immutability(self):
         A = RowAccessMatrix(DIAG)
@@ -89,27 +94,6 @@ class TestRowAccessMatrix:
             A.to_dense()[0, 0] = 9.0
         with pytest.raises(ValueError):
             A.row_norms_sq[0] = 9.0
-
-
-class TestResidual:
-    def test_zero_iterate(self):
-        A = RowAccessMatrix(DIAG)
-        np.testing.assert_allclose(residual(A, [0.0, 0.0], [1.0, 4.0]), [-1.0, -4.0])
-
-    def test_exact_solution(self):
-        A = RowAccessMatrix(np.eye(2))
-        np.testing.assert_allclose(residual(A, [1.0, 1.0], [1.0, 1.0]), [0.0, 0.0])
-
-    def test_partial_solution(self):
-        A = RowAccessMatrix(DIAG)
-        np.testing.assert_allclose(residual(A, [0.0, 2.0], [1.0, 4.0]), [-1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        A = RowAccessMatrix(DIAG)
-        with pytest.raises(ValueError):
-            residual(A, [0.0, 0.0, 0.0], [1.0, 4.0])
-        with pytest.raises(ValueError):
-            residual(A, [0.0, 0.0], [1.0])
 
 
 class TestSmallestSingularValue:
@@ -161,6 +145,13 @@ class TestProblem:
         A = RowAccessMatrix(DIAG)
         with pytest.raises(ValueError):
             Problem(A, [1.0, 4.0, 5.0])
+
+    def test_non_finite_vectors_rejected(self):
+        A = RowAccessMatrix(DIAG)
+        with pytest.raises(ValueError, match="b has NaN or infinite"):
+            Problem(A, [np.inf, 1.0])
+        with pytest.raises(ValueError, match="x_star has NaN or infinite"):
+            Problem(A, [1.0, 4.0], x_star=[np.nan, 2.0])
 
 
 def test_spectral_lower_bound_on_range_vectors():

@@ -12,7 +12,6 @@ from kaczmarz.selection import (
     GammaMode,
     GreedyCertificateError,
     ProbabilityRule,
-    WorkingSet,
     active_set_gamma,
     greedy_set,
     sample_index,
@@ -58,19 +57,13 @@ class TestActiveSetGamma:
 class TestGreedySet:
     def test_hand_threshold_selects_heavy_row(self):
         # scores (1, 4); threshold 0.5*(4 + 17/5) = 3.7 keeps only row 1.
-        ws = greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=5.0, theta=0.5)
-        assert list(ws.indices) == [1]
-        assert ws.threshold == pytest.approx(3.7)
+        assert list(greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=5.0, theta=0.5)) == [1]
 
     def test_symmetric_rows_both_kept(self):
-        ws = greedy_set(EYE2, np.array([-1.0, -1.0]), gamma=2.0, theta=0.5)
-        assert list(ws.indices) == [0, 1]
-        assert ws.threshold == pytest.approx(1.0)
+        assert list(greedy_set(EYE2, np.array([-1.0, -1.0]), gamma=2.0, theta=0.5)) == [0, 1]
 
     def test_theta_one_keeps_argmax_only(self):
-        ws = greedy_set(EYE2, np.array([-1.0, -2.0]), gamma=2.0, theta=1.0)
-        assert list(ws.indices) == [1]
-        assert ws.threshold == pytest.approx(4.0)
+        assert list(greedy_set(EYE2, np.array([-1.0, -2.0]), gamma=2.0, theta=1.0)) == [1]
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError, match="already solved"):
@@ -90,6 +83,12 @@ class TestGreedySet:
         with np.errstate(over="ignore"):
             with pytest.raises(GreedyCertificateError):
                 greedy_set(DIAG, np.array([1.0e154, 1.3e154]), gamma=5.0)
+
+    def test_residual_with_infinite_squares_rejected(self):
+        # Every r_i^2 is inf, so every score would clear an inf threshold.
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                greedy_set(DIAG, np.array([1e200, 3e200]), gamma=5.0)
 
     def test_certificate_check_survives_optimize_flag(self):
         code = ("import numpy as np\n"
@@ -114,10 +113,10 @@ class TestGreedySet:
             r = rng.standard_normal(m)
             theta = float(rng.uniform())
             gamma = A.frobenius_sq
-            ws = greedy_set(A, r, gamma, theta)
+            indices = greedy_set(A, r, gamma, theta)
             scores = r**2 / A.row_norms_sq
-            assert len(ws) >= 1
-            assert int(np.argmax(scores)) in ws.indices
+            assert len(indices) >= 1
+            assert int(np.argmax(scores)) in indices
 
     def test_members_clear_mean_level_certificate(self):
         rng = np.random.default_rng(29)
@@ -125,11 +124,11 @@ class TestGreedySet:
             m = int(rng.integers(2, 40))
             A = RowAccessMatrix(rng.standard_normal((m, 5)) + 0.05)
             r = rng.standard_normal(m)
-            gamma, count = active_set_gamma(A, r, GammaMode.EXACT)
-            ws = greedy_set(A, r, gamma, theta=0.5, active_count=count)
+            gamma, _ = active_set_gamma(A, r, GammaMode.EXACT)
+            indices = greedy_set(A, r, gamma, theta=0.5)
             scores = r**2 / A.row_norms_sq
             level = float(r @ r) / gamma
-            assert np.all(scores[ws.indices] >= level * (1.0 - 1e-9))
+            assert np.all(scores[indices] >= level * (1.0 - 1e-9))
 
     def test_scaling_covariance(self):
         # Replacing (A, b) by (cA, cb) scales every ratio identically.
@@ -143,34 +142,28 @@ class TestGreedySet:
             r2 = c * mat @ x - c * b
             g1, _ = active_set_gamma(A1, r1, GammaMode.EXACT)
             g2, _ = active_set_gamma(A2, r2, GammaMode.EXACT)
-            ws1 = greedy_set(A1, r1, g1)
-            ws2 = greedy_set(A2, r2, g2)
-            assert list(ws1.indices) == list(ws2.indices)
+            assert list(greedy_set(A1, r1, g1)) == list(greedy_set(A2, r2, g2))
 
 
 class TestSamplingDistribution:
-    def _ws(self, indices):
-        idx = np.asarray(indices)
-        return WorkingSet(indices=idx, gamma=1.0, active_count=len(idx), threshold=0.0)
-
     def test_singleton(self):
         for rule in ProbabilityRule:
-            probs = sampling_distribution(np.array([-1.0, -4.0]), self._ws([1]), rule)
+            probs = sampling_distribution(np.array([-1.0, -4.0]), np.array([1]), rule)
             np.testing.assert_allclose(probs, [1.0])
 
     def test_symmetric_residuals(self):
         probs = sampling_distribution(
-            np.array([-1.0, -1.0]), self._ws([0, 1]), ProbabilityRule.RESIDUAL)
+            np.array([-1.0, -1.0]), np.array([0, 1]), ProbabilityRule.RESIDUAL)
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_residual_proportional(self):
         probs = sampling_distribution(
-            np.array([-1.0, -2.0]), self._ws([0, 1]), ProbabilityRule.RESIDUAL)
+            np.array([-1.0, -2.0]), np.array([0, 1]), ProbabilityRule.RESIDUAL)
         np.testing.assert_allclose(probs, [0.2, 0.8])
 
     def test_uniform(self):
         probs = sampling_distribution(
-            np.array([-1.0, -2.0, 5.0]), self._ws([0, 1, 2]), ProbabilityRule.UNIFORM)
+            np.array([-1.0, -2.0, 5.0]), np.array([0, 1, 2]), ProbabilityRule.UNIFORM)
         np.testing.assert_allclose(probs, [1 / 3] * 3)
 
     def test_sums_to_one(self):
@@ -178,7 +171,7 @@ class TestSamplingDistribution:
         for _ in range(100):
             m = int(rng.integers(1, 50))
             r = rng.standard_normal(m) + 0.01
-            probs = sampling_distribution(r, self._ws(np.arange(m)), ProbabilityRule.RESIDUAL)
+            probs = sampling_distribution(r, np.arange(m), ProbabilityRule.RESIDUAL)
             assert abs(probs.sum() - 1.0) <= 1e-15
 
 
@@ -207,3 +200,7 @@ class TestSampleIndex:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             sample_index(np.array([0.2, 0.2]), np.random.default_rng(0))
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="sum to"):
+            sample_index(np.array([np.nan, np.nan]), np.random.default_rng(0))

@@ -51,6 +51,11 @@ class TestConfig:
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
 
 
+def row_residual_after(problem, rec, x):
+    """|<a_i, x> - b_i| for the row a record projected onto and the iterate after it."""
+    return abs(problem.A.row_dot(rec.index, x) - problem.b[rec.index])
+
+
 def one_row(a_i, b_i):
     """A single-equation system <a_i, x> = b_i for stepping on row 0."""
     return RowAccessMatrix([a_i]), np.array([b_i], dtype=float)
@@ -198,9 +203,11 @@ class TestRunBehavior:
 
     def test_zeroed_previous_row(self):
         problem = random_problem(45, 9, seed=17)
-        trace = run(problem, SolverConfig(variant="grk", seed=4, max_iters=300))
+        trace = run(problem, SolverConfig(variant="grk", seed=4, max_iters=300),
+                    capture_iterates=True)
         tol = 1e-10 * np.max(np.abs(problem.b))
-        assert all(rec.row_residual_after <= tol for rec in trace.records)
+        assert all(row_residual_after(problem, rec, x) <= tol
+                   for rec, x in zip(trace.records, trace.iterates[1:]))
 
     def test_range_confinement(self):
         problem = random_problem(12, 6, rank=4, seed=18)
@@ -228,11 +235,20 @@ class TestRunBehavior:
     def test_residual_stopping_without_x_star(self):
         base = random_problem(30, 8, seed=21, kappa=3.0)
         problem = Problem(base.A, base.b)  # drop the reference solution
-        trace = run(problem, SolverConfig(variant="grk", seed=9, residual_tol=1e-14))
+        trace = run(problem, SolverConfig(variant="grk", seed=9, rse_tol=1e-14))
         assert trace.termination == "residual_tol"
         assert trace.initial_err_sq is None
         b_norm_sq = float(problem.b @ problem.b)
         assert trace.records[-1].res_sq / b_norm_sq <= 1e-14
+
+    def test_rse_tol_bounds_the_residual_without_x_star(self):
+        base = random_problem(30, 8, seed=21, kappa=3.0)
+        problem = Problem(base.A, base.b)
+        trace = run(problem, SolverConfig(variant="grk", seed=9, rse_tol=1e-4))
+        assert trace.termination == "residual_tol"
+        b_norm_sq = float(problem.b @ problem.b)
+        assert trace.records[-1].res_sq / b_norm_sq <= 1e-4
+        assert all(rec.res_sq / b_norm_sq > 1e-4 for rec in trace.records[:-1])
 
     def test_max_iters_reported(self):
         problem = random_problem(50, 10, seed=22, kappa=50.0)
@@ -256,7 +272,7 @@ class TestRunBehavior:
         # refresh boundaries, momentum on.
         problem = random_problem(30, 10, seed=24, kappa=30.0)
         cfg = SolverConfig(variant="mgrk", beta=0.3, seed=12, max_iters=2500,
-                           rse_tol=1e-28, refresh_every=1000)
+                           rse_tol=1e-28)
         trace = run(problem, cfg, capture_iterates=True)
         for rec, x in zip(trace.records[::250], trace.iterates[1::250]):
             exact = float(np.sum((problem.A.matvec(x) - problem.b) ** 2))
@@ -278,16 +294,16 @@ class TestGammaModeOrdering:
             r = A.matvec(x) - b
             if np.max(np.abs(r)) <= tau:
                 break
-            g_exact, count = active_set_gamma(A, r, GammaMode.EXACT, tau_res=tau)
+            g_exact, _ = active_set_gamma(A, r, GammaMode.EXACT, tau_res=tau)
             g_last, _ = active_set_gamma(A, r, GammaMode.LAST_ROW, last_index=last, tau_res=tau)
             g_frob, _ = active_set_gamma(A, r, GammaMode.FROBENIUS, tau_res=tau)
             slack = 1e-9 * g_frob
             if k >= 1:
                 assert g_exact <= g_last + slack
             assert g_last <= g_frob + slack
-            ws = greedy_set(A, r, g_exact, active_count=count)
-            probs = sampling_distribution(r, ws, "residual")
-            i = int(ws.indices[sample_index(probs, rng)])
+            indices = greedy_set(A, r, g_exact)
+            probs = sampling_distribution(r, indices, "residual")
+            i = int(indices[sample_index(probs, rng)])
             x = x - (r[i] / A.row_norms_sq[i]) * A.row(i)
             last = i
 
@@ -341,17 +357,19 @@ class TestResidualFreePath:
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
     def test_records_carry_no_residual(self, variant):
         problem = random_problem(40, 8, seed=32, kappa=3.0)
-        trace = run(problem, SolverConfig(variant=variant, seed=2, max_iters=300))
+        trace = run(problem, SolverConfig(variant=variant, seed=2, max_iters=300),
+                    capture_iterates=True)
         assert all(rec.res_sq is None for rec in trace.records)
         tol = 1e-10 * np.max(np.abs(problem.b))
-        assert all(rec.row_residual_after <= tol for rec in trace.records)
+        assert all(row_residual_after(problem, rec, x) <= tol
+                   for rec, x in zip(trace.records, trace.iterates[1:]))
 
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
     def test_residual_stopping_without_x_star(self, variant):
         base = random_problem(30, 8, seed=33, kappa=3.0)
         problem = Problem(base.A, base.b)
         trace = run(problem, SolverConfig(variant=variant, seed=4, max_iters=50_000,
-                                          residual_tol=1e-14), capture_iterates=True)
+                                          rse_tol=1e-14), capture_iterates=True)
         assert trace.termination == "residual_tol"
         for rec, x in zip(trace.records, trace.iterates[1:]):
             exact = float(np.sum((problem.A.matvec(x) - problem.b) ** 2))
