@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     certify_trace,
@@ -25,7 +24,7 @@ from .harness import (
     RandomProblemSpec,
     emit_results,
     gen_random_problem,
-    load_problem_from_file,
+    load_problem,
     read_matrix_market,
     run_experiment,
     write_matrix_market,
@@ -33,14 +32,20 @@ from .harness import (
     read_trace_csv,
     write_vector,
 )
-from .linalg import Problem, smallest_nonzero_singular_value
-from .solvers import SolverConfig, run
+from .linalg import smallest_nonzero_singular_value
+from .selection import GammaMode, ProbabilityRule
+from .solvers import SolverConfig, SolverVariant, run
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    # Exact flag names only, so that a --methods or --config key never
+    # silently stands for a longer flag.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # The CLI contract reserves exit code 1 for usage errors.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -48,7 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--matrix", help="Matrix Market file to load instead of a random problem")
     p.add_argument("--m", type=int, default=500, help="rows of the random problem")
     p.add_argument("--n", type=int, default=100, help="columns of the random problem")
     p.add_argument("--rank", type=int, default=None, help="rank (default min(m, n))")
@@ -57,21 +61,23 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["cyclic", "rk", "grk", "mgrk"], default="grk")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--gamma-mode", choices=["exact", "lastrow", "frobenius"], default=None)
-    p.add_argument("--prob", choices=["residual", "uniform"], default="residual")
-    p.add_argument("--rse-tol", type=float, default=1e-12)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    """One flag per SolverConfig field except seed; SolverConfig holds the defaults."""
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--method", dest="variant", choices=[v.value for v in SolverVariant])
+    flag("--alpha", type=float)
+    flag("--beta", type=float)
+    flag("--theta", type=float)
+    flag("--gamma-mode", choices=[g.value for g in GammaMode])
+    flag("--prob", dest="prob_rule", choices=[r.value for r in ProbabilityRule])
+    flag("--rse-tol", type=float)
+    flag("--max-iters", type=int)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kaczmarz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[], help="write a random problem to files")
+    p_gen = sub.add_parser("gen", help="write a random problem to files")
     _add_problem_flags(p_gen)
     p_gen.add_argument("--out", required=True, help="output prefix (writes <out>_A.mtx etc.)")
 
@@ -101,6 +107,9 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--rho", type=float, default=0.5)
     p_bound.add_argument("--out", default=None, help="write the JSON report here")
 
+    for p in (p_solve, p_bench, p_bound):
+        p.add_argument("--matrix", help="Matrix Market file to load instead of a random problem")
+
     p_cert = sub.add_parser("certify", help="re-check a stored trace against its bound")
     p_cert.add_argument("--trace", required=True, help="trace CSV from 'solve'")
     p_cert.add_argument("--sigma-min-sq", type=float, default=None)
@@ -109,53 +118,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _problem_from_args(args) -> Problem:
-    if args.matrix:
-        return load_problem_from_file(args.matrix, seed=args.seed)
-    rank = args.rank if args.rank is not None else min(args.m, args.n)
-    spec = RandomProblemSpec(m=args.m, n=args.n, r=rank, kappa=args.kappa, seed=args.seed)
-    return gen_random_problem(spec)
+def _flag(key: str, value: str) -> str:
+    """A spec or config-file 'key=value' as the flag it stands for: '--key=value'."""
+    return f"--{key.strip().replace('_', '-')}={value.strip()}"
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        variant=args.method,
-        alpha=args.alpha,
-        beta=args.beta,
-        theta=args.theta,
-        gamma_mode=args.gamma_mode,
-        prob_rule=args.prob,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        rse_tol=args.rse_tol,
-    )
-
-
-def _parse_method_spec(spec: str, base: SolverConfig) -> tuple[str, SolverConfig]:
-    """'mgrk:beta=0.4:theta=0.5' -> (label, config overriding the base)."""
-    parts = spec.strip().split(":")
-    overrides = {"variant": parts[0]}
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key in ("alpha", "beta", "theta", "rse_tol"):
-            overrides[key] = float(value)
-        elif key in ("seed", "max_iters"):
-            overrides[key] = int(value)
-        elif key == "gamma_mode":
-            overrides[key] = value.strip()
-        elif key == "prob":
-            overrides["prob_rule"] = value.strip()
-        else:
-            raise ValueError(f"unknown method option {key!r} in {spec!r}")
-    # Momentum defaults to zero unless the spec sets it.
-    if overrides["variant"] != "mgrk":
-        overrides.setdefault("beta", 0.0)
-    return spec.strip(), dataclasses.replace(base, **overrides)
-
-
-def _read_config_file(path) -> dict:
-    values = {}
+def _config_flags(path) -> list[str]:
+    """The flags a key=value config file stands for, in file order."""
+    flags = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -163,31 +133,78 @@ def _read_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
-    return values
+        if key.strip() == "certify":
+            flags += ["--certify"] if value.strip().lower() in ("1", "true", "yes") else []
+        else:
+            flags.append(_flag(key, value))
+    return flags
 
 
-def _apply_config_file(args, values: dict) -> None:
-    casts = {
-        "m": int, "n": int, "rank": int, "trials": int, "seed": int,
-        "max_iters": int, "kappa": float, "alpha": float, "beta": float,
-        "theta": float, "rse_tol": float,
-        "matrix": str, "methods": str, "out": str, "format": str,
-        "gamma_mode": str, "prob": str, "method": str,
-    }
-    for key, raw in values.items():
-        if key == "certify":
-            args.certify = raw.lower() in ("1", "true", "yes")
-            continue
-        if key not in casts:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(args, key, casts[key](raw))
+def _config_from_args(args) -> SolverConfig:
+    given = vars(args)
+    return SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
+                           if f.name in given})
+
+
+def _method_from_spec(spec: str, args) -> tuple[str, SolverConfig]:
+    """'mgrk:beta=0.4' -> (label, config): the flags '--method=mgrk --beta=0.4'
+    applied over the bench flags."""
+    spec = spec.strip()
+    variant, *options = spec.split(":")
+    parser = _Parser(prog=f"kaczmarz bench --methods {spec}", add_help=False)
+    _add_solver_flags(parser)
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    given = argparse.Namespace(**vars(args))
+    # Momentum defaults to zero unless the spec sets it.
+    if variant.strip() != "mgrk":
+        given.beta = 0.0
+    parser.parse_args([_flag("method", variant)]
+                      + [_flag(*option.partition("=")[::2]) for option in options],
+                      namespace=given)
+    try:
+        return spec, _config_from_args(given)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _problem_source(args) -> RandomProblemSpec | str:
+    """The --matrix file, or the random problem the shape flags describe."""
+    if getattr(args, "matrix", None):
+        return args.matrix
+    rank = args.rank if args.rank is not None else min(args.m, args.n)
+    return RandomProblemSpec(m=args.m, n=args.n, r=rank, kappa=args.kappa, seed=args.seed)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv and build the settings objects of its command.
+
+    Every bad setting, whether from a flag, a --methods spec or a --config
+    line, is a usage error found here, before any command runs.
+    """
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "bench" and args.config:
+            # Config lines go after argv, so they override flags.
+            args = parser.parse_args(argv + _config_flags(args.config))
+        if args.command != "certify":
+            args.source = _problem_source(args)
+        if args.command in ("solve", "bench"):
+            args.solver = _config_from_args(args)
+        if args.command == "bench":
+            methods = ([_method_from_spec(spec, args) for spec in args.methods.split(",")]
+                       if args.methods else [(args.solver.variant.value, args.solver)])
+            args.experiment = ExperimentSpec(source=args.source, methods=methods,
+                                             trials=args.trials, certify=args.certify,
+                                             problem_seed=args.seed)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    return args
 
 
 def _cmd_gen(args) -> int:
-    rank = args.rank if args.rank is not None else min(args.m, args.n)
-    spec = RandomProblemSpec(m=args.m, n=args.n, r=rank, kappa=args.kappa, seed=args.seed)
-    problem = gen_random_problem(spec)
+    problem = gen_random_problem(args.source)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_matrix_market(problem.A, f"{prefix}_A.mtx")
@@ -198,11 +215,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = _problem_from_args(args)
-    config = _config_from_args(args)
-    trace = run(problem, config)
+    trace = run(load_problem(args.source, args.seed), args.solver)
     rse = trace.final_rse()
-    print(f"method={config.variant.value} iters={trace.iterations} "
+    print(f"method={trace.config.variant.value} iters={trace.iterations} "
           f"termination={trace.termination}"
           + (f" final_rse={rse:.3e}" if rse is not None else ""))
     if args.out:
@@ -212,24 +227,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        _apply_config_file(args, _read_config_file(args.config))
-    if args.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {args.format!r}")
-    base = _config_from_args(args)
-    if args.methods:
-        methods = [_parse_method_spec(s, base) for s in args.methods.split(",")]
-    else:
-        methods = [(args.method, base)]
-    if args.matrix:
-        source = args.matrix
-    else:
-        rank = args.rank if args.rank is not None else min(args.m, args.n)
-        source = RandomProblemSpec(m=args.m, n=args.n, r=rank,
-                                   kappa=args.kappa, seed=args.seed)
-    spec = ExperimentSpec(source=source, methods=methods, trials=args.trials,
-                          certify=args.certify, problem_seed=args.seed)
-    result = run_experiment(spec)
+    result = run_experiment(args.experiment)
     text = emit_results(result, format=args.format, path=args.out)
     if args.out:
         print(f"results written to {args.out}")
@@ -244,7 +242,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    problem = _problem_from_args(args)
+    problem = load_problem(args.source, args.seed)
     sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
     rates = rate_report(problem.A, sigma_min_sq=sigma_sq)
     report = {
@@ -297,9 +295,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

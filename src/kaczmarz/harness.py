@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from .selection import GammaMode, ProbabilityRule
 from .solvers import SolverConfig, Trace, TraceRecord, run
 
 __all__ = [
@@ -172,6 +171,13 @@ def load_problem_from_file(path, seed: int = 0) -> Problem:
     return Problem(A, b, x_star)
 
 
+def load_problem(source: RandomProblemSpec | str | Path, seed: int = 0) -> Problem:
+    """The problem a spec generates, or a Matrix Market file with b from ``seed``."""
+    if isinstance(source, RandomProblemSpec):
+        return gen_random_problem(source)
+    return load_problem_from_file(source, seed=seed)
+
+
 # -- experiments --------------------------------------------------------------
 
 
@@ -271,10 +277,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
     sigma_min oracle).
     """
     if problem is None:
-        if isinstance(spec.source, RandomProblemSpec):
-            problem = gen_random_problem(spec.source)
-        else:
-            problem = load_problem_from_file(spec.source, seed=spec.problem_seed)
+        problem = load_problem(spec.source, seed=spec.problem_seed)
 
     sigma_min_sq = None
     if spec.certify and problem.x_star is not None and min(problem.A.shape) <= ORACLE_SIZE_LIMIT:
@@ -360,9 +363,6 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 
 TRACE_COLUMNS = list(TraceRecord._fields)
 
-# SolverConfig fields the metadata line stores beside the step parameters.
-_STOPPING_KEYS = ("max_iters", "rse_tol")
-
 
 def _field(text: str):
     """A trace-CSV field back to its value: empty is None, integers stay int."""
@@ -382,19 +382,11 @@ def write_trace_csv(trace: Trace, path) -> Path:
     residual, ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
     """
     meta = {
-        "variant": trace.config.variant.value,
-        "alpha": trace.config.alpha,
-        "beta": trace.config.beta,
-        "theta": trace.config.theta,
-        "gamma_mode": trace.config.resolved_gamma_mode().value,
-        "prob_rule": trace.config.prob_rule.value,
-        "seed": trace.config.seed,
-        **{key: getattr(trace.config, key) for key in _STOPPING_KEYS},
+        **asdict(replace(trace.config, gamma_mode=trace.config.resolved_gamma_mode())),
         "termination": trace.termination,
         "initial_err_sq": trace.initial_err_sq,
         "initial_res_sq": trace.initial_res_sq,
         "frobenius_sq": trace.frobenius_sq,
-        "b_inf_norm": trace.b_inf_norm,
         "x_star_norm_sq": trace.x_star_norm_sq,
     }
     path = Path(path)
@@ -422,18 +414,9 @@ def read_trace_csv(path) -> Trace:
         reader = csv.DictReader(fh)
         records = [TraceRecord(*(_field(row[name]) for name in TRACE_COLUMNS))
                    for row in reader]
-    config = SolverConfig(
-        variant=meta["variant"],
-        alpha=meta["alpha"],
-        beta=meta["beta"],
-        theta=meta["theta"],
-        gamma_mode=meta["gamma_mode"],
-        prob_rule=meta["prob_rule"],
-        seed=meta["seed"],
-        # Older files may lack these keys (defaults apply) or carry stopping
-        # keys SolverConfig no longer has (ignored).
-        **{key: meta[key] for key in _STOPPING_KEYS if key in meta},
-    )
+    # Older files may lack some SolverConfig fields (defaults apply) or carry
+    # keys that are no longer stored (ignored).
+    config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})
     return Trace(
         records=records,
         termination=meta["termination"],
@@ -442,6 +425,5 @@ def read_trace_csv(path) -> Trace:
         final_x=None,
         config=config,
         frobenius_sq=meta["frobenius_sq"],
-        b_inf_norm=meta["b_inf_norm"],
         x_star_norm_sq=meta["x_star_norm_sq"],
     )

@@ -85,6 +85,11 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.rse_tol <= 0.0:
             raise ValueError("the stopping tolerance must be positive")
+        # Gamma_k = ||A||_F^2 - ||a_{i_{k-1}}||^2 bounds the active-set mass only
+        # when the previous step zeroed its row's residual.
+        if self.gamma_mode is GammaMode.LAST_ROW and (self.alpha != 1.0 or self.beta != 0.0):
+            raise ValueError("gamma_mode lastrow needs alpha = 1 and beta = 0, "
+                             f"got alpha = {self.alpha} and beta = {self.beta}")
 
     def resolved_gamma_mode(self) -> GammaMode:
         if self.gamma_mode is not None:
@@ -125,7 +130,6 @@ class Trace:
     final_x: np.ndarray | None
     config: SolverConfig
     frobenius_sq: float
-    b_inf_norm: float
     x_star_norm_sq: float | None
     iterates: list[np.ndarray] | None = None
 
@@ -211,6 +215,8 @@ def _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config) -> str | Non
     return "residual_tol" if res_sq / denom <= config.rse_tol else None
 
 
+# A diverging run ends "nonfinite"; numpy need not also warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     problem: Problem,
     config: SolverConfig,
@@ -259,7 +265,6 @@ def run(
         final_x=None,
         config=config,
         frobenius_sq=A.frobenius_sq,
-        b_inf_norm=b_inf,
         x_star_norm_sq=x_star_norm_sq,
         iterates=iterates,
     )

@@ -1,11 +1,20 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from kaczmarz import cli
 from kaczmarz.cli import main
-from kaczmarz.harness import read_matrix_market, read_trace_csv, read_vector
+from kaczmarz.harness import (
+    RandomProblemSpec,
+    gen_random_problem,
+    read_matrix_market,
+    read_trace_csv,
+    read_vector,
+    write_trace_csv,
+)
+from kaczmarz.solvers import SolverConfig, run
 
 
 def test_usage_error_exit_code(capsys):
@@ -103,14 +112,14 @@ def test_bench_config_file_format_checked_before_solving(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "run_experiment", no_solve)
     cfg = tmp_path / "fmt.cfg"
     cfg.write_text("format = xml\n")
-    assert main(["bench", "--config", str(cfg)]) == 2
+    assert main(["bench", "--config", str(cfg)]) == 1
     assert "format" in capsys.readouterr().err
 
 
 def test_bench_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble = 3\n")
-    assert main(["bench", "--config", str(cfg)]) == 2
+    assert main(["bench", "--config", str(cfg)]) == 1
 
 
 def test_bound_reports_constants(capsys):
@@ -156,3 +165,93 @@ def test_certify_requires_sigma_source(tmp_path, capsys):
     trace_path = tmp_path / "t.csv"
     main(["solve", "--m", "20", "--n", "5", "--seed", "1", "--out", str(trace_path)])
     assert main(["certify", "--trace", str(trace_path)]) == 2
+
+
+def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
+    prefix = tmp_path / "c"
+    main(["gen", "--m", "30", "--n", "6", "--seed", "8", "--out", str(prefix)])
+    trace_path = tmp_path / "mgrk.csv"
+    assert main(["solve", "--matrix", f"{prefix}_A.mtx", "--seed", "3", "--method", "mgrk",
+                 "--beta", "0.4", "--out", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(trace_path),
+                 "--matrix", f"{prefix}_A.mtx"]) == 2
+    assert capsys.readouterr().err.startswith("kaczmarz: error: momentum constants infeasible")
+
+
+# Every SolverConfig field: the bench flag that sets it and a value other than
+# its default, valid on mgrk.  Spec and config-file keys are the flag names.
+SETTINGS = {
+    "variant": ("method", "mgrk"),
+    "alpha": ("alpha", 0.5),
+    "beta": ("beta", 0.3),
+    "theta": ("theta", 0.25),
+    "gamma_mode": ("gamma-mode", "exact"),
+    "prob_rule": ("prob", "uniform"),
+    "seed": ("seed", 7),
+    "max_iters": ("max-iters", 123),
+    "rse_tol": ("rse-tol", 1e-8),
+}
+
+
+def test_settings_cover_every_solver_config_field():
+    assert list(SETTINGS) == [f.name for f in fields(SolverConfig)]
+    default = SolverConfig(variant="mgrk")
+    for name, (_, value) in SETTINGS.items():
+        assert getattr(replace(default, **{name: value}), name) != getattr(SolverConfig(), name)
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_flag_spec_and_config_line_give_one_config(tmp_path, name):
+    flag, value = SETTINGS[name]
+    key = flag.replace("-", "_")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"method = mgrk\n{key} = {value}\n")
+    argvs = [["bench", "--method", "mgrk", f"--{flag}", str(value)],
+             ["bench", "--methods", "mgrk" if name == "variant" else f"mgrk:{key}={value}"],
+             ["bench", "--config", str(cfg)]]
+    configs = [cli._parse_args(argv).experiment.methods[0][1] for argv in argvs]
+    assert configs == [SolverConfig(**{"variant": "mgrk", name: value})] * 3
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_every_setting_survives_the_trace_metadata(tmp_path, name):
+    config = SolverConfig(**{"variant": "mgrk", name: SETTINGS[name][1]})
+    problem = gen_random_problem(RandomProblemSpec(m=20, n=4, r=4, kappa=3.0, seed=1))
+    loaded = read_trace_csv(write_trace_csv(run(problem, config), tmp_path / "t.csv"))
+    assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+
+
+# Bad settings from flags, --methods specs and config-file lines:
+# (argv, config-file line or None).
+BAD_SETTINGS = [
+    (["bench", "--methods", "grk:bogus=1"], None),
+    (["bench", "--methods", "foo"], None),
+    (["bench", "--methods", "grk:beta=abc"], None),
+    (["bench", "--methods", "grk:max=5"], None),  # no prefix matching of flag names
+    (["solve", "--alpha", "-1"], None),
+    (["solve", "--kappa", "0.5"], None),
+    (["solve", "--gamma-mode", "lastrow", "--alpha", "0.5"], None),
+    (["bench", "--trials", "0"], None),
+    (["gen", "--matrix", "a.mtx", "--out", "p"], None),
+    (["bench"], "method = foo"),
+    (["bench"], "m = abc"),
+]
+
+
+@pytest.mark.parametrize("argv, config_line", BAD_SETTINGS,
+                         ids=[" ".join(argv) + (f" [{line}]" if line else "")
+                              for argv, line in BAD_SETTINGS])
+def test_bad_setting_exits_1_before_any_command_runs(tmp_path, capsys, monkeypatch,
+                                                       argv, config_line):
+    def no_command(*args, **kwargs):
+        raise AssertionError("a command ran")
+
+    for name in ("gen_random_problem", "load_problem", "run", "run_experiment"):
+        monkeypatch.setattr(cli, name, no_command)
+    if config_line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_line + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert ": error: " in capsys.readouterr().err

@@ -292,8 +292,8 @@ class TestEmission:
         path = write_trace_csv(trace, tmp_path / "t.csv")
         first, rest = path.read_text().split("\n", 1)
         meta = json.loads(first[1:])
-        # Stopping keys that earlier versions stored and SolverConfig no longer has.
-        meta.update(residual_tol=1e-13, res_zero_tol=None, refresh_every=1000)
+        # Keys that earlier versions stored and Trace and SolverConfig no longer have.
+        meta.update(residual_tol=1e-13, res_zero_tol=None, refresh_every=1000, b_inf_norm=2.5)
         path.write_text("# " + json.dumps(meta) + "\n" + rest)
         loaded = read_trace_csv(path)
         assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())

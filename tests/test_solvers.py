@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kaczmarz.analysis import certify_trace
 from kaczmarz.linalg import (
     Problem,
     RowAccessMatrix,
@@ -49,6 +52,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(variant="grk", beta=0.5)
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
+
+    @pytest.mark.parametrize("rows, b, x_star", [
+        ([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], [1.0]),
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0], [1.0, 1.0]),
+    ])
+    def test_lastrow_needs_exact_projection(self, rows, b, x_star):
+        # On these systems a relaxed lastrow run put gamma below the active-set mass.
+        with pytest.raises(ValueError, match="lastrow"):
+            SolverConfig(variant="grk", alpha=0.5, gamma_mode="lastrow")
+        with pytest.raises(ValueError, match="lastrow"):
+            SolverConfig(variant="mgrk", beta=0.1, gamma_mode="lastrow")
+        problem = Problem(RowAccessMatrix(rows), b, x_star=x_star)
+        trace = run(problem, SolverConfig(variant="grk", gamma_mode="lastrow"))
+        assert trace.termination == "rse_tol"
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        assert certify_trace(trace, sigma_sq).passed
 
 
 def row_residual_after(problem, rec, x):
@@ -408,3 +427,65 @@ class TestNonfinite:
         assert trace.termination == "nonfinite"
         assert trace.records[-1].res_sq is None
         assert not np.isfinite(trace.records[-1].err_sq)
+
+    @pytest.mark.parametrize("config", [SolverConfig(variant="mgrk", beta=3.0, max_iters=5000),
+                                        SolverConfig(variant="grk", alpha=2.5, max_iters=5000)])
+    def test_diverging_run_ends_without_numpy_warnings(self, config):
+        problem = random_problem(200, 40, seed=0, kappa=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(problem, config)
+        assert trace.termination == "nonfinite"
+
+
+def gaussian_problem(seed, m, n, known=True, sparsity=0.0):
+    """Consistent m x n Gaussian system; entries below ``sparsity`` in size are zeroed."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, n))
+    mat[np.abs(mat) < sparsity] = 0.0
+    mat[np.arange(m), rng.integers(0, n, size=m)] += 2.0  # no zero rows
+    b = mat @ rng.standard_normal(n)
+    A = RowAccessMatrix(mat)
+    return Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
+
+
+class TestPathwiseProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 10),
+           mode_alpha=st.one_of(
+               st.tuples(st.sampled_from(["exact", "frobenius"]), st.floats(0.05, 1.95)),
+               st.tuples(st.just("lastrow"), st.just(1.0))))
+    def test_grk_contracts_on_every_step(self, seed, m, n, mode_alpha):
+        gamma_mode, alpha = mode_alpha
+        problem = gaussian_problem(seed, m, n)
+        trace = run(problem, SolverConfig(variant="grk", alpha=alpha, gamma_mode=gamma_mode,
+                                          seed=seed, max_iters=300))
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        result = certify_trace(trace, sigma_sq)
+        assert result.passed, result
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 10),
+           variant=st.sampled_from(["grk", "mgrk"]))
+    def test_dense_and_csr_storage_agree(self, seed, m, n, variant):
+        dense = gaussian_problem(seed, m, n, sparsity=0.7)
+        csr = Problem(RowAccessMatrix(sp.csr_array(dense.A.to_dense())), dense.b,
+                      x_star=dense.x_star)
+        config = SolverConfig(variant=variant, beta=0.3 if variant == "mgrk" else 0.0,
+                              seed=seed, max_iters=300)
+        t_dense, t_csr = run(dense, config), run(csr, config)
+        assert t_csr.selections() == t_dense.selections()
+        assert t_csr.termination == t_dense.termination
+        assert (np.linalg.norm(t_csr.final_x - t_dense.final_x)
+                <= 1e-10 * np.linalg.norm(t_dense.final_x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 30), n=st.integers(1, 8),
+           variant=st.sampled_from(["cyclic", "rk", "grk", "mgrk"]), known=st.booleans())
+    def test_same_seed_same_trace(self, seed, m, n, variant, known):
+        problem = gaussian_problem(seed, m, n, known=known)
+        config = SolverConfig(variant=variant, beta=0.2 if variant == "mgrk" else 0.0,
+                              seed=seed, max_iters=200)
+        first, second = run(problem, config), run(problem, config)
+        assert first.records == second.records
+        assert np.array_equal(first.final_x, second.final_x)
