@@ -188,13 +188,19 @@ def _parse_args(argv) -> argparse.Namespace:
         if args.command == "bench" and args.config:
             # Config lines go after argv, so they override flags.
             args = parser.parse_args(argv + _config_flags(args.config))
-        if args.command != "certify":
+        if args.command == "certify":
+            if args.sigma_min_sq is None and not args.matrix:
+                raise ValueError("certify needs --sigma-min-sq or --matrix")
+        else:
             args.source = _problem_source(args)
-        if args.command in ("solve", "bench"):
+        if args.command == "solve":
             args.solver = _config_from_args(args)
         if args.command == "bench":
-            methods = ([_method_from_spec(spec, args) for spec in args.methods.split(",")]
-                       if args.methods else [(args.solver.variant.value, args.solver)])
+            if args.methods:
+                methods = [_method_from_spec(spec, args) for spec in args.methods.split(",")]
+            else:
+                solver = _config_from_args(args)
+                methods = [(solver.variant.value, solver)]
             args.experiment = ExperimentSpec(source=args.source, methods=methods,
                                              trials=args.trials, certify=args.certify,
                                              problem_seed=args.seed)
@@ -273,10 +279,8 @@ def _cmd_certify(args) -> int:
     trace = read_trace_csv(args.trace)
     if args.sigma_min_sq is not None:
         sigma_sq = args.sigma_min_sq
-    elif args.matrix:
-        sigma_sq = smallest_nonzero_singular_value(read_matrix_market(args.matrix)) ** 2
     else:
-        raise ValueError("certify needs --sigma-min-sq or --matrix")
+        sigma_sq = smallest_nonzero_singular_value(read_matrix_market(args.matrix)) ** 2
     result = certify_trace(trace, sigma_sq)
     if result.passed:
         print(f"certified: {result.checked} steps satisfy the {result.mode} bound")

@@ -1,9 +1,9 @@
 """Row-access matrices and the dense spectral oracles built on top of them.
 
 Every solver in this package touches the matrix only through per-row dot
-products, row axpy updates, and full matvecs, so dense and CSR storage sit
-behind a single class that caches the squared row norms once at
-construction.  The SVD-based helpers (smallest nonzero singular value,
+products, row axpy updates, row images A a_i, and full matvecs, so dense and
+CSR storage sit behind a single class that caches the squared row norms once
+at construction.  The SVD-based helpers (smallest nonzero singular value,
 minimum-norm solution) are analysis and test utilities for desk-scale
 matrices; they never run on the solver hot path.
 """
@@ -44,7 +44,8 @@ class RowAccessMatrix:
     Accepts a dense 2-D array-like or any scipy sparse matrix (stored in
     canonical CSR form).  NaN or infinite entries and rows with zero norm are
     rejected outright: every row must define a hyperplane for projection
-    methods to make sense.
+    methods to make sense.  Sparse storage builds a CSC copy (about 12 bytes
+    per nonzero) on the first ``row_image`` call, for its column gather.
     """
 
     def __init__(self, matrix):
@@ -57,6 +58,7 @@ class RowAccessMatrix:
                 raise ValueError("matrix must have at least one row and column")
             self._dense = None
             self._csr = csr
+            self._csc = None
             values = csr.data
             sq = csr.copy()
             sq.data **= 2
@@ -110,15 +112,6 @@ class RowAccessMatrix:
 
     # -- row access ---------------------------------------------------------
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i as a dense length-n vector (a view for dense storage)."""
-        if self._dense is not None:
-            return self._dense[i]
-        out = np.zeros(self.n)
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        out[self._csr.indices[lo:hi]] = self._csr.data[lo:hi]
-        return out
-
     def row_dot(self, i: int, x: np.ndarray) -> float:
         """<a_i, x> without densifying sparse rows."""
         if self._dense is not None:
@@ -135,10 +128,32 @@ class RowAccessMatrix:
             out[self._csr.indices[lo:hi]] += coeff * self._csr.data[lo:hi]
 
     def row_image(self, i: int) -> np.ndarray:
-        """A @ a_i, the image of row i; the rank-1 residual-update direction."""
+        """A @ a_i, the image of row i; the rank-1 residual-update direction.
+
+        Sparse storage gathers sum_{j in supp(a_i)} a_ij A[:, j] from the CSC
+        copy in O(sum of those columns' nnz) instead of a full SpMV; it is no
+        faster when those columns hold a large share of nnz(A).  Each
+        output entry adds its terms in ascending column order, as CSR SpMV
+        does, so the result is bitwise ``csr @ densified a_i``.
+        """
         if self._dense is not None:
             return self._dense @ self._dense[i]
-        return self._csr @ self.row(i)
+        csc = self._csc
+        if csc is None:
+            # Concurrent first calls may each build a copy; the copies are equal.
+            csc = sp.csc_array(self._csr)
+            for arr in (csc.data, csc.indices, csc.indptr):
+                arr.setflags(write=False)
+            self._csc = csc
+        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
+        cols = self._csr.indices[lo:hi]
+        starts = csc.indptr[cols]
+        counts = csc.indptr[cols + 1] - starts
+        # Positions of the gathered entries in the CSC arrays, column by column.
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        pos = shift + np.arange(shift.size)
+        weights = np.repeat(self._csr.data[lo:hi], counts) * csc.data[pos]
+        return np.bincount(csc.indices[pos], weights=weights, minlength=self.m)
 
     # -- whole-matrix products ----------------------------------------------
 

