@@ -209,7 +209,8 @@ class TrialResult:
     iters: int
     seconds: float
     final_rse: float | None
-    certified: bool | None  # None when certification was not run
+    certified: bool | None  # None when certification was not run or was refused
+    refusal: str | None     # why certify_trace refused the trace; None otherwise
     termination: str
     trace: Trace | None = None  # kept only when the spec asks for it
 
@@ -247,6 +248,7 @@ class ExperimentResult:
                             "seconds": t.seconds,
                             "final_rse": t.final_rse,
                             "certified": t.certified,
+                            "refusal": t.refusal,
                             "termination": t.termination,
                         }
                         for t in meth.trials
@@ -274,7 +276,9 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
     Trials that stop on the iteration cap are kept and counted, never
     dropped.  With ``certify=True`` each trace is checked against its bound
     (skipped, reported as None, when the matrix is too large for the dense
-    sigma_min oracle).
+    sigma_min oracle).  A trace whose bound's hypotheses fail (``rk``, α
+    outside (0, 2), an infeasible momentum envelope) is reported as
+    ``certified=None`` with ``certify_trace``'s reason in ``refusal``.
     """
     if problem is None:
         problem = load_problem(spec.source, seed=spec.problem_seed)
@@ -294,12 +298,12 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
             seconds = time.perf_counter() - tic
             if trace.termination == "max_iters":
                 hit_cap += 1
-            certified = None
+            certified = refusal = None
             if sigma_min_sq is not None:
                 try:
                     certified = certify_trace(trace, sigma_min_sq).passed
-                except ValueError:
-                    certified = None
+                except ValueError as exc:
+                    refusal = str(exc)
             trials.append(TrialResult(
                 trial=t,
                 seed=cfg.seed,
@@ -307,6 +311,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
                 seconds=seconds,
                 final_rse=trace.final_rse(),
                 certified=certified,
+                refusal=refusal,
                 termination=trace.termination,
                 trace=trace if spec.keep_traces else None,
             ))
@@ -322,7 +327,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
 
 
 CSV_COLUMNS = ["method", "trial", "seed", "iters", "seconds", "final_rse", "certified",
-               "termination"]
+               "refusal", "termination"]
 
 
 def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> str:
@@ -343,13 +348,14 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
                 writer.writerow([
                     meth.label, t.trial, t.seed, t.iters, f"{t.seconds:.6f}",
                     "" if t.final_rse is None else f"{t.final_rse:.6e}",
-                    "" if t.certified is None else t.certified, t.termination,
+                    "" if t.certified is None else t.certified, t.refusal or "",
+                    t.termination,
                 ])
         for meth in result.methods:
             n_cert = sum(1 for t in meth.trials if t.certified)
             writer.writerow([
                 meth.label, "mean", "", f"{meth.mean_iters:.2f}",
-                f"{meth.mean_seconds:.6f}", "", n_cert, "",
+                f"{meth.mean_seconds:.6f}", "", n_cert, "", "",
             ])
         text = buf.getvalue()
     else:

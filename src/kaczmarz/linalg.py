@@ -44,8 +44,11 @@ class RowAccessMatrix:
     Accepts a dense 2-D array-like or any scipy sparse matrix (stored in
     canonical CSR form).  NaN or infinite entries and rows with zero norm are
     rejected outright: every row must define a hyperplane for projection
-    methods to make sense.  Sparse storage builds a CSC copy (about 12 bytes
-    per nonzero) on the first ``row_image`` call, for its column gather.
+    methods to make sense.  ``row_image`` returns one format for both storage
+    kinds, ``(rows, values)``: a full slice and a dense vector for dense
+    storage, the image's support and its entries for sparse storage.  Sparse
+    storage builds a CSC copy (about 12 bytes per nonzero) on the first
+    ``row_image`` call, for its column gather.
     """
 
     def __init__(self, matrix):
@@ -127,17 +130,21 @@ class RowAccessMatrix:
             lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
             out[self._csr.indices[lo:hi]] += coeff * self._csr.data[lo:hi]
 
-    def row_image(self, i: int) -> np.ndarray:
-        """A @ a_i, the image of row i; the rank-1 residual-update direction.
+    def row_image(self, i: int) -> tuple[np.ndarray | slice, np.ndarray]:
+        """A @ a_i, the image of row i, as ``(rows, values)`` with
+        ``(A @ a_i)[rows] == values`` and zero elsewhere.
 
-        Sparse storage gathers sum_{j in supp(a_i)} a_ij A[:, j] from the CSC
-        copy in O(sum of those columns' nnz) instead of a full SpMV; it is no
-        faster when those columns hold a large share of nnz(A).  Each
-        output entry adds its terms in ascending column order, as CSR SpMV
-        does, so the result is bitwise ``csr @ densified a_i``.
+        This is the rank-1 residual-update direction, so a caller updates
+        ``r[rows]`` only.  Dense storage returns ``rows = slice(None)`` and the
+        GEMV.  Sparse storage gathers sum_{j in supp(a_i)} a_ij A[:, j] from
+        the CSC copy in O(sum of those columns' nnz) instead of a full SpMV;
+        it is no faster when those columns hold a large share of nnz(A).
+        ``rows`` is then the sorted, distinct set of rows the gather touches,
+        and each value adds its terms in ascending column order, as CSR SpMV
+        does, so ``values`` is bitwise ``(csr @ densified a_i)[rows]``.
         """
         if self._dense is not None:
-            return self._dense @ self._dense[i]
+            return slice(None), self._dense @ self._dense[i]
         csc = self._csc
         if csc is None:
             # Concurrent first calls may each build a copy; the copies are equal.
@@ -153,7 +160,15 @@ class RowAccessMatrix:
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         pos = shift + np.arange(shift.size)
         weights = np.repeat(self._csr.data[lo:hi], counts) * csc.data[pos]
-        return np.bincount(csc.indices[pos], weights=weights, minlength=self.m)
+        hit = csc.indices[pos]
+        image = np.bincount(hit, weights=weights, minlength=self.m)
+        # The distinct rows hit, by a sort: np.unique took about 7x as long here.
+        hit = np.sort(hit)
+        first = np.empty(hit.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(hit[1:], hit[:-1], out=first[1:])
+        rows = hit[first]
+        return rows, image[rows]
 
     # -- whole-matrix products ----------------------------------------------
 

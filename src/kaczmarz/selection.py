@@ -3,7 +3,9 @@
 The greedy methods score each row by its squared residual normalized by the
 squared row norm, keep the rows whose score clears a threshold mixing the
 maximum score with the mean-level term ``||r||^2 / gamma``, and then sample
-one working row from that set.
+one working row from that set.  The solver keeps the scores, ||r||^2 and the
+mask of rows with nonzero residual up to date between steps and passes them
+in, so these functions do not recompute them from r.
 """
 
 from __future__ import annotations
@@ -45,66 +47,56 @@ class ProbabilityRule(str, Enum):
 
 def active_set_gamma(
     A: RowAccessMatrix,
-    r: np.ndarray,
     mode: GammaMode,
+    loud: np.ndarray | None = None,
     last_index: int | None = None,
-    tau_res: float = 0.0,
-) -> tuple[float, int]:
-    """Threshold mass gamma_k and the active-row count for residual ``r``.
+) -> float:
+    """Threshold mass gamma_k.
 
-    ``tau_res`` is the floating-point stand-in for "residual is nonzero";
-    callers that know b should pass ``1e-14 * max(1, ||b||_inf)``.  In exact
-    mode an all-quiet residual returns ``(0.0, 0)``, signalling that the
-    system is already solved.  Last-row mode needs ``last_index`` from the
-    previous iteration (``None`` means the first iteration, where the full
-    Frobenius mass applies).
+    Exact mode sums ``||a_i||^2`` over the rows in the boolean mask ``loud``,
+    the caller's floating-point stand-in for "residual is nonzero" (the
+    solver uses ``|r_i| > 1e-14 * max(1, ||b||_inf)``); an empty mask gives
+    0.0.  Last-row mode needs ``last_index`` from the previous iteration
+    (``None`` means the first iteration, where the full Frobenius mass
+    applies).  Only exact mode reads ``loud``.
     """
     mode = GammaMode(mode)
-    r = np.asarray(r)
-    if r.shape[0] != A.m:
-        raise ValueError(f"residual has length {r.shape[0]}, expected {A.m}")
-    loud = np.abs(r) > tau_res
-    count = int(np.count_nonzero(loud))
     if mode is GammaMode.EXACT:
-        if count == 0:
-            return 0.0, 0
-        gamma = float(A.row_norms_sq[loud].sum())
-    elif mode is GammaMode.LAST_ROW:
-        gamma = A.frobenius_sq
-        if last_index is not None:
-            gamma -= float(A.row_norms_sq[last_index])
-    else:
-        gamma = A.frobenius_sq
-    return float(gamma), count
+        if loud is None or loud.shape[0] != A.m:
+            raise ValueError(f"exact mode needs a row mask of length {A.m}")
+        return float(A.row_norms_sq[loud].sum())
+    gamma = A.frobenius_sq
+    if mode is GammaMode.LAST_ROW and last_index is not None:
+        gamma -= float(A.row_norms_sq[last_index])
+    return float(gamma)
 
 
 def greedy_set(
     A: RowAccessMatrix,
-    r: np.ndarray,
+    scores: np.ndarray,
+    rss: float,
     gamma: float,
     theta: float = 0.5,
 ) -> np.ndarray:
-    """Sorted indices of the rows whose normalized squared residual clears the
-    mixed threshold.
+    """Sorted indices of the rows whose score clears the mixed threshold.
 
-    Keeps every i with ``r_i^2/||a_i||^2 >= theta*max + (1-theta)*||r||^2/gamma``
-    (ties included).  The best-scoring row is always a member, so the set is
-    never empty for a nonzero residual.
+    ``scores`` holds r_i^2/||a_i||^2 and ``rss`` is ||r||^2 for the same
+    residual r; the solver keeps both up to date between steps.  Keeps every
+    i with ``scores[i] >= theta*max + (1-theta)*rss/gamma`` (ties included).
+    The best-scoring row is always a member, so the set is never empty for
+    a nonzero residual.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != A.m:
-        raise ValueError(f"residual has length {r.shape[0]}, expected {A.m}")
-    rss = float(r @ r)
+    if scores.shape[0] != A.m:
+        raise ValueError(f"scores have length {scores.shape[0]}, expected {A.m}")
     if rss == 0.0:
         raise ValueError("residual is zero: system already solved")
     if not math.isfinite(rss):
         raise GreedyCertificateError(f"||r||^2 = {rss!r} is not finite")
 
-    scores = (r * r) / A.row_norms_sq
     best = int(np.argmax(scores))
     threshold = theta * float(scores[best]) + (1.0 - theta) * rss / gamma
     mask = scores >= threshold

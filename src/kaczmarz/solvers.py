@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import Problem, RowAccessMatrix
 from .selection import (
     GammaMode,
+    GreedyCertificateError,
     ProbabilityRule,
     active_set_gamma,
     greedy_set,
@@ -37,7 +38,7 @@ __all__ = [
 # Residual recomputed from scratch this often to bound incremental drift.
 REFRESH_EVERY = 1000
 
-# Cap on cached residual-update directions (A @ a_i), in bytes.
+# Cap on the bytes held by cached residual-update directions (A @ a_i).
 _IMAGE_CACHE_BYTES = 64_000_000
 
 
@@ -118,9 +119,12 @@ class Trace:
     """Per-iteration records plus the run's initial metrics and outcome.
 
     ``termination`` is ``rse_tol`` (error below ``config.rse_tol``),
-    ``residual_tol`` (no x*, residual below ``config.rse_tol``), ``converged``
-    (greedy variants, zero residual), ``max_iters`` or ``nonfinite`` (a metric
-    overflowed).
+    ``residual_tol`` (no x*, residual below ``config.rse_tol``), ``converged``,
+    ``max_iters`` or ``nonfinite`` (a metric overflowed).  ``converged`` ends
+    a greedy run at the rounding floor: either every |r_i| is at most
+    ``1e-14 * max(1, ||b||_inf)``, or, in exact gamma mode, the rows below
+    that level carry so much of ||r||^2 that no row above it reaches the
+    mean level ||r||^2/gamma, which sums only over the rows above it.
     """
 
     records: list[TraceRecord]
@@ -173,9 +177,13 @@ def kaczmarz_step(
     ``x_new = x - coeff * a_i + beta * (x - x_prev)`` and
     ``coeff = alpha * r_i / ||a_i||^2``.  When the caller keeps the residual
     ``r = Ax - b``, r_i is read from it and ``r_new`` is its rank-1 update
-    ``r - coeff * (A @ a_i) + beta * (r - r_prev)``; ``image`` is ``A @ a_i``
-    when the caller has it cached.  Without ``r``, r_i = <a_i, x> - b_i costs
-    O(nnz(a_i)) and ``r_new`` is None.
+    ``r - coeff * (A @ a_i) + beta * (r - r_prev)``; ``image`` is
+    ``A.row_image(i)``, the pair ``(rows, values)``, when the caller has it
+    cached.  Without momentum the update writes ``r[rows]`` in place and
+    touches nothing else, so ``r_new`` is ``r`` and a sparse image costs
+    O(len(rows)); with momentum ``r_new`` is a new array and ``r`` is left as
+    it was.  Without ``r``, r_i = <a_i, x> - b_i costs O(nnz(a_i)) and
+    ``r_new`` is None.
     """
     if r is None:
         r_i = A.row_dot(i, x) - b[i]
@@ -191,11 +199,13 @@ def kaczmarz_step(
     A.axpy_row(i, -coeff, x_new)
     if r is None:
         return x_new, None
-    if image is None:
-        image = A.row_image(i)
-    r_new = r - coeff * image
-    if beta != 0.0:
-        r_new += beta * (r - r_prev)
+    rows, values = A.row_image(i) if image is None else image
+    if beta == 0.0:
+        r[rows] -= coeff * values
+        return x_new, r
+    r_new = r.copy()
+    r_new[rows] -= coeff * values
+    r_new += beta * (r - r_prev)
     return x_new, r_new
 
 
@@ -233,6 +243,14 @@ def run(
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
     its own row and records ``res_sq=None``.
+
+    Greedy runs keep the scores r_i^2/||a_i||^2 and, in exact gamma mode, the
+    mask |r_i| > tau.  Without momentum a step updates them on
+    the rows of its image only; momentum steps and the residual refresh every
+    ``REFRESH_EVERY`` steps recompute them.  The other gamma modes read the
+    mask only to detect a zero residual, and skip it while ||r||^2 > 2 m tau^2
+    proves some row is above tau.  Row images are cached up to
+    ``_IMAGE_CACHE_BYTES`` of rows and values.
     """
     A, b = problem.A, problem.b
     m, n = A.shape
@@ -279,23 +297,47 @@ def run(
     needs_residual = greedy or x_star is None
     if not needs_residual:
         r = res_sq = None
-    # Steps never write into x or r, so the first momentum term is exactly zero.
+    # Momentum steps never write into x or r, so the first momentum term is
+    # exactly zero.
     x_prev, r_prev = x, r
     rk_cdf = np.cumsum(A.row_norms_sq) if variant is SolverVariant.RK else None
-    image_cache: dict[int, np.ndarray] = {}
-    cache_cap = max(16, _IMAGE_CACHE_BYTES // (8 * m))
+    image_cache: dict[int, tuple[np.ndarray | slice, np.ndarray]] = {}
+    cache_bytes = 0
     last_index = None
+    exact = gamma_mode is GammaMode.EXACT
+    # ||r||^2 above this proves some |r_i| > tau_res, with room for rounding.
+    loud_floor = 2.0 * m * tau_res * tau_res
+    # Selection state: the scores, and in exact mode the loud mask.
+    scores = loud = None
+    stale = True
 
     for k in range(config.max_iters):
         set_size = gamma_rec = None
 
         if greedy:
+            if stale:
+                scores = (r * r) / A.row_norms_sq
+                if exact:
+                    loud = np.abs(r) > tau_res
             last = last_index if gamma_mode is GammaMode.LAST_ROW else None
-            gamma, active = active_set_gamma(A, r, gamma_mode, last, tau_res)
-            if active == 0:
+            gamma = active_set_gamma(A, gamma_mode, loud, last)
+            # Row norms are positive, so exact-mode gamma is zero just when no row
+            # is loud.
+            if exact:
+                quiet = gamma == 0.0
+            else:
+                quiet = res_sq <= loud_floor and not np.any(np.abs(r) > tau_res)
+            if quiet:
                 trace.termination = "converged"
                 break
-            indices = greedy_set(A, r, gamma, theta)
+            try:
+                indices = greedy_set(A, scores, res_sq, gamma, theta)
+            except GreedyCertificateError:
+                # Only the rounding floor gets here: see ``Trace``.
+                if not exact:
+                    raise
+                trace.termination = "converged"
+                break
             probs = sampling_distribution(r, indices, config.prob_rule)
             i = int(indices[sample_index(probs, rng)])
             set_size, gamma_rec = len(indices), gamma
@@ -310,19 +352,29 @@ def run(
             image = image_cache.get(i)
             if image is None:
                 image = A.row_image(i)
-                if len(image_cache) < cache_cap:
+                size = sum(getattr(part, "nbytes", 0) for part in image)  # a slice holds none
+                if cache_bytes + size <= _IMAGE_CACHE_BYTES:
                     image_cache[i] = image
+                    cache_bytes += size
         x_new, r_new = kaczmarz_step(A, b, i, x, x_prev, alpha, beta, r, r_prev, image)
         x_prev, x = x, x_new
         r_prev, r = r, r_new
         last_index = i
 
         if needs_residual:
-            if (k + 1) % REFRESH_EVERY == 0:
+            refresh = (k + 1) % REFRESH_EVERY == 0
+            if refresh:
                 r = A.matvec(x) - b
                 if beta != 0.0:
                     r_prev = A.matvec(x_prev) - b
             res_sq = float(r @ r)
+            stale = refresh or beta != 0.0
+            if greedy and not stale:
+                rows = image[0]
+                r_rows = r[rows]
+                scores[rows] = (r_rows * r_rows) / A.row_norms_sq[rows]
+                if exact:
+                    loud[rows] = np.abs(r_rows) > tau_res
         if x_star is not None:
             err_sq = float(np.sum((x - x_star) ** 2))
         trace.records.append(TraceRecord(k, i, set_size, gamma_rec, err_sq, res_sq))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import fields, replace
 
@@ -90,6 +92,23 @@ def test_bench_diverging_run_exits_numerical(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",")[-1] == "termination"
     assert [line.split(",")[-1] for line in lines[1:3]] == ["nonfinite", "nonfinite"]
+
+
+def test_bench_certify_tells_refused_trials_from_certified_ones(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        main(["bench", "--m", "200", "--n", "40", "--kappa", "3", "--seed", "0",
+              "--methods", "grk:alpha=2.5,grk,rk", "--trials", "2", "--max-iters", "2000",
+              "--certify"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    trials = {(row["method"], row["trial"]): row for row in rows if row["trial"] != "mean"}
+    assert len(trials) == 6
+    for t in ("0", "1"):
+        assert trials[("grk", t)]["certified"] == "True"
+        assert trials[("grk", t)]["refusal"] == ""
+        for refused, reason in (("grk:alpha=2.5", "alpha must lie in (0, 2)"),
+                                ("rk", "greedy traces only")):
+            assert trials[(refused, t)]["certified"] == ""
+            assert reason in trials[(refused, t)]["refusal"]
 
 
 def test_bench_with_config_file(tmp_path, capsys):

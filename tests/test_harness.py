@@ -205,6 +205,20 @@ class TestExperiments:
         grk = next(m for m in result.methods if m.label == "grk")
         assert all(t.certified for t in grk.trials)
 
+    def test_refused_certificate_keeps_its_reason(self, tmp_path):
+        methods = [("grk", SolverConfig(variant="grk", seed=3)),
+                   ("rk", SolverConfig(variant="rk", seed=3, max_iters=200_000))]
+        result = run_experiment(self._spec(trials=1, certify=True, methods=methods))
+        grk, rk = (meth.trials[0] for meth in result.methods)
+        assert (grk.certified, grk.refusal) == (True, None)
+        assert rk.certified is None and "greedy traces only" in rk.refusal
+        emit_results(result, "json", tmp_path / "r.json")
+        saved = json.loads((tmp_path / "r.json").read_text())
+        assert [m["trials"][0]["refusal"] for m in saved["methods"]] == [None, rk.refusal]
+        # Without certification nothing is refused.
+        plain = run_experiment(self._spec(trials=1, methods=methods))
+        assert all(m.trials[0].refusal is None for m in plain.methods)
+
     def test_traces_kept_on_request(self):
         spec = self._spec(trials=2)
         assert all(t.trace is None

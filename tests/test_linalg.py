@@ -16,6 +16,14 @@ from kaczmarz.solvers import SolverConfig, run
 DIAG = [[1.0, 0.0], [0.0, 2.0]]
 
 
+def full_image(A, i):
+    """A.row_image(i) as a dense m-vector."""
+    rows, values = A.row_image(i)
+    image = np.zeros(A.m)
+    image[rows] = values
+    return image
+
+
 class TestRowAccessMatrix:
     def test_cached_norms_dense(self):
         A = RowAccessMatrix(DIAG)
@@ -67,8 +75,8 @@ class TestRowAccessMatrix:
         A = RowAccessMatrix(dense)
         S = RowAccessMatrix(sp.csr_array(dense))
         for i in range(5):
-            np.testing.assert_allclose(A.row_image(i), dense @ dense[i])
-            np.testing.assert_allclose(S.row_image(i), dense @ dense[i], rtol=1e-13)
+            np.testing.assert_allclose(full_image(A, i), dense @ dense[i])
+            np.testing.assert_allclose(full_image(S, i), dense @ dense[i], rtol=1e-13)
 
     def test_dense_sparse_residual_agreement(self):
         rng = np.random.default_rng(11)
@@ -204,12 +212,24 @@ def two_per_row_matrix(m=958, n=292, seed=0):
     return sp.csr_array((values.ravel(), cols.ravel(), np.arange(0, 2 * m + 1, 2)), shape=(m, n))
 
 
+def mixed_sparse_array(seed, m, n, density):
+    """Dense m x n array with about ``density`` of its entries nonzero, at least
+    one per row, and magnitudes spread over 10^-4..10^4; at low density it has
+    empty columns and single-entry rows, and rows share columns at any."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    mask[np.arange(m), rng.integers(0, n, m)] = True
+    values = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-4, 5, (m, n))
+    return np.where(mask, values, 0.0)
+
+
 def spmv_row_image(self, i):
-    """The reference formula: densify a_i, then a full CSR SpMV."""
+    """The reference formula: densify a_i, then a full CSR SpMV, with every
+    row as the support."""
     lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
     a_i = np.zeros(self.n)
     a_i[self._csr.indices[lo:hi]] = self._csr.data[lo:hi]
-    return self._csr @ a_i
+    return np.arange(self.m), self._csr @ a_i
 
 
 class TestSparseRowImage:
@@ -220,18 +240,17 @@ class TestSparseRowImage:
     @example(seed=1, m=9, n=1, density=0.5)
     @example(seed=2, m=12, n=12, density=0.0)  # single-entry rows, empty columns
     def test_gather_equals_spmv(self, seed, m, n, density):
-        rng = np.random.default_rng(seed)
-        mask = rng.random((m, n)) < density
-        mask[np.arange(m), rng.integers(0, n, m)] = True
-        values = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-4, 5, (m, n))
-        dense = np.where(mask, values, 0.0)
+        dense = mixed_sparse_array(seed, m, n, density)
         csr = sp.csr_array(dense)
         S = RowAccessMatrix(csr)
         for i in range(m):
-            image = S.row_image(i)
-            assert np.array_equal(image, csr @ dense[i])
+            rows, values = S.row_image(i)
+            spmv = csr @ dense[i]
+            assert np.all(np.diff(rows) > 0)  # sorted and distinct
+            assert np.array_equal(values, spmv[rows])
+            assert not np.delete(spmv, rows).any()  # the image is zero off rows
             scale = float(np.max(np.abs(dense) @ np.abs(dense[i])))
-            np.testing.assert_allclose(image, S.to_dense() @ dense[i], rtol=1e-12,
+            np.testing.assert_allclose(full_image(S, i), S.to_dense() @ dense[i], rtol=1e-12,
                                        atol=1e-12 * scale)
 
     def test_csc_copy_is_lazy_and_read_only(self):
@@ -254,6 +273,36 @@ class TestSparseRowImage:
         gathered = run(problem, config)
         monkeypatch.setattr(RowAccessMatrix, "row_image", spmv_row_image)
         reference = run(problem, config)
+        assert gathered.termination == reference.termination
+        assert gathered.records == reference.records
+        assert np.array_equal(gathered.final_x, reference.final_x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 15), n=st.integers(1, 10),
+           density=st.floats(0.0, 0.6),
+           mode_beta=st.sampled_from([("exact", 0.0), ("exact", 0.3), ("lastrow", 0.0),
+                                      ("frobenius", 0.0), ("frobenius", 0.3)]),
+           prob_rule=st.sampled_from(["residual", "uniform"]), with_x_star=st.booleans(),
+           max_iters=st.just(300))
+    # Ill-conditioned enough to run past the REFRESH_EVERY = 1000 residual refresh.
+    @example(seed=0, m=15, n=10, density=0.3, mode_beta=("exact", 0.0), prob_rule="residual",
+             with_x_star=False, max_iters=1500)
+    def test_support_updates_equal_full_updates(self, seed, m, n, density, mode_beta,
+                                                prob_rule, with_x_star, max_iters):
+        """Updating r and the selection state on the image's support only gives the
+        same records and iterate as updating every row."""
+        gamma_mode, beta = mode_beta
+        dense = mixed_sparse_array(seed, m, n, density)
+        A = RowAccessMatrix(sp.csr_array(dense))
+        b = A.matvec(np.random.default_rng(seed).standard_normal(n))
+        problem = Problem(A, b, x_star=min_norm_solution(A, b) if with_x_star else None)
+        config = SolverConfig(variant="mgrk" if beta else "grk", beta=beta,
+                              gamma_mode=gamma_mode, prob_rule=prob_rule, seed=seed,
+                              max_iters=max_iters, rse_tol=1e-30)
+        gathered = run(problem, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RowAccessMatrix, "row_image", spmv_row_image)
+            reference = run(problem, config)
         assert gathered.termination == reference.termination
         assert gathered.records == reference.records
         assert np.array_equal(gathered.final_x, reference.final_x)

@@ -22,73 +22,82 @@ DIAG = RowAccessMatrix([[1.0, 0.0], [0.0, 2.0]])
 EYE2 = RowAccessMatrix(np.eye(2))
 
 
+def gamma_of(A, r, mode, last_index=None, tau_res=0.0):
+    return active_set_gamma(A, mode, np.abs(r) > tau_res, last_index)
+
+
+def select(A, r, gamma, theta=0.5):
+    """greedy_set on the scores and ||r||^2 of residual ``r``."""
+    r = np.asarray(r, dtype=np.float64)
+    return greedy_set(A, (r * r) / A.row_norms_sq, float(r @ r), gamma, theta)
+
+
 class TestActiveSetGamma:
     def test_exact_all_active(self):
-        gamma, count = active_set_gamma(DIAG, np.array([-1.0, -4.0]), GammaMode.EXACT)
-        assert gamma == 5.0 and count == 2
+        assert gamma_of(DIAG, np.array([-1.0, -4.0]), GammaMode.EXACT) == 5.0
 
     def test_exact_one_active(self):
-        gamma, count = active_set_gamma(DIAG, np.array([-1.0, 0.0]), GammaMode.EXACT)
-        assert gamma == 1.0 and count == 1
+        assert gamma_of(DIAG, np.array([-1.0, 0.0]), GammaMode.EXACT) == 1.0
 
     def test_frobenius_ignores_residual(self):
         for r in ([-1.0, -4.0], [0.5, 0.0], [1e-30, 1e-30]):
-            gamma, _ = active_set_gamma(DIAG, np.array(r), GammaMode.FROBENIUS)
-            assert gamma == 5.0
+            assert gamma_of(DIAG, np.array(r), GammaMode.FROBENIUS) == 5.0
+        assert active_set_gamma(DIAG, GammaMode.FROBENIUS) == 5.0
 
     def test_last_row_mode(self):
-        r = np.array([-1.0, 0.0])
-        gamma0, _ = active_set_gamma(DIAG, r, GammaMode.LAST_ROW, last_index=None)
-        assert gamma0 == 5.0
-        gamma1, _ = active_set_gamma(DIAG, r, GammaMode.LAST_ROW, last_index=1)
-        assert gamma1 == 1.0
+        assert active_set_gamma(DIAG, GammaMode.LAST_ROW, last_index=None) == 5.0
+        assert active_set_gamma(DIAG, GammaMode.LAST_ROW, last_index=1) == 1.0
 
     def test_exact_quiet_residual_signals_converged(self):
-        gamma, count = active_set_gamma(
-            DIAG, np.array([1e-16, -1e-16]), GammaMode.EXACT, tau_res=1e-14)
-        assert gamma == 0.0 and count == 0
+        gamma = gamma_of(DIAG, np.array([1e-16, -1e-16]), GammaMode.EXACT, tau_res=1e-14)
+        assert gamma == 0.0
 
     def test_tau_res_filters_noise(self):
-        gamma, count = active_set_gamma(
-            DIAG, np.array([-1.0, 1e-15]), GammaMode.EXACT, tau_res=1e-14)
-        assert gamma == 1.0 and count == 1
+        gamma = gamma_of(DIAG, np.array([-1.0, 1e-15]), GammaMode.EXACT, tau_res=1e-14)
+        assert gamma == 1.0
+
+    def test_exact_mode_needs_a_row_mask(self):
+        with pytest.raises(ValueError, match="mask"):
+            active_set_gamma(DIAG, GammaMode.EXACT)
+        with pytest.raises(ValueError, match="mask"):
+            active_set_gamma(DIAG, GammaMode.EXACT, np.ones(3, dtype=bool))
 
 
 class TestGreedySet:
     def test_hand_threshold_selects_heavy_row(self):
         # scores (1, 4); threshold 0.5*(4 + 17/5) = 3.7 keeps only row 1.
-        assert list(greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=5.0, theta=0.5)) == [1]
+        assert list(select(DIAG, [-1.0, -4.0], gamma=5.0, theta=0.5)) == [1]
 
     def test_symmetric_rows_both_kept(self):
-        assert list(greedy_set(EYE2, np.array([-1.0, -1.0]), gamma=2.0, theta=0.5)) == [0, 1]
+        assert list(select(EYE2, [-1.0, -1.0], gamma=2.0, theta=0.5)) == [0, 1]
 
     def test_theta_one_keeps_argmax_only(self):
-        assert list(greedy_set(EYE2, np.array([-1.0, -2.0]), gamma=2.0, theta=1.0)) == [1]
+        assert list(select(EYE2, [-1.0, -2.0], gamma=2.0, theta=1.0)) == [1]
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError, match="already solved"):
-            greedy_set(DIAG, np.zeros(2), gamma=5.0)
+            select(DIAG, np.zeros(2), gamma=5.0)
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
-            greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=0.0)
+            select(DIAG, [-1.0, -4.0], gamma=0.0)
 
     def test_gamma_below_active_mass_raises_typed_error(self):
         # Scores are [1, 8] and ||r||^2 = 17: with gamma = 1 no row reaches 17.
         with pytest.raises(GreedyCertificateError, match="certificate"):
-            greedy_set(DIAG, np.array([-1.0, -4.0]), gamma=1.0)
+            select(DIAG, [-1.0, -4.0], gamma=1.0)
 
     def test_overflowing_residual_raises_typed_error(self):
         # Each r_i^2 is finite but ||r||^2 overflows, as in a diverging run.
         with np.errstate(over="ignore"):
             with pytest.raises(GreedyCertificateError):
-                greedy_set(DIAG, np.array([1.0e154, 1.3e154]), gamma=5.0)
+                select(DIAG, [1.0e154, 1.3e154], gamma=5.0)
 
     def test_residual_with_infinite_squares_rejected(self):
         # Every r_i^2 is inf, so every score would clear an inf threshold.
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="not finite"):
-                greedy_set(DIAG, np.array([1e200, 3e200]), gamma=5.0)
+                select(DIAG, [1e200, 3e200], gamma=5.0)
 
     def test_certificate_check_survives_optimize_flag(self):
         code = ("import numpy as np\n"
@@ -96,7 +105,7 @@ class TestGreedySet:
                 "from kaczmarz.selection import GreedyCertificateError, greedy_set\n"
                 "A = RowAccessMatrix([[1.0, 0.0], [0.0, 2.0]])\n"
                 "try:\n"
-                "    greedy_set(A, np.array([-1.0, -4.0]), gamma=1.0)\n"
+                "    greedy_set(A, np.array([1.0, 8.0]), 17.0, gamma=1.0)\n"
                 "except GreedyCertificateError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(3)\n")
@@ -113,7 +122,7 @@ class TestGreedySet:
             r = rng.standard_normal(m)
             theta = float(rng.uniform())
             gamma = A.frobenius_sq
-            indices = greedy_set(A, r, gamma, theta)
+            indices = select(A, r, gamma, theta)
             scores = r**2 / A.row_norms_sq
             assert len(indices) >= 1
             assert int(np.argmax(scores)) in indices
@@ -124,8 +133,8 @@ class TestGreedySet:
             m = int(rng.integers(2, 40))
             A = RowAccessMatrix(rng.standard_normal((m, 5)) + 0.05)
             r = rng.standard_normal(m)
-            gamma, _ = active_set_gamma(A, r, GammaMode.EXACT)
-            indices = greedy_set(A, r, gamma, theta=0.5)
+            gamma = gamma_of(A, r, GammaMode.EXACT)
+            indices = select(A, r, gamma, theta=0.5)
             scores = r**2 / A.row_norms_sq
             level = float(r @ r) / gamma
             assert np.all(scores[indices] >= level * (1.0 - 1e-9))
@@ -140,9 +149,9 @@ class TestGreedySet:
             A1, A2 = RowAccessMatrix(mat), RowAccessMatrix(c * mat)
             r1 = mat @ x - b
             r2 = c * mat @ x - c * b
-            g1, _ = active_set_gamma(A1, r1, GammaMode.EXACT)
-            g2, _ = active_set_gamma(A2, r2, GammaMode.EXACT)
-            assert list(greedy_set(A1, r1, g1)) == list(greedy_set(A2, r2, g2))
+            g1 = gamma_of(A1, r1, GammaMode.EXACT)
+            g2 = gamma_of(A2, r2, GammaMode.EXACT)
+            assert list(select(A1, r1, g1)) == list(select(A2, r2, g2))
 
 
 class TestSamplingDistribution:

@@ -313,14 +313,14 @@ class TestGammaModeOrdering:
             r = A.matvec(x) - b
             if np.max(np.abs(r)) <= tau:
                 break
-            g_exact, _ = active_set_gamma(A, r, GammaMode.EXACT, tau_res=tau)
-            g_last, _ = active_set_gamma(A, r, GammaMode.LAST_ROW, last_index=last, tau_res=tau)
-            g_frob, _ = active_set_gamma(A, r, GammaMode.FROBENIUS, tau_res=tau)
+            g_exact = active_set_gamma(A, GammaMode.EXACT, np.abs(r) > tau)
+            g_last = active_set_gamma(A, GammaMode.LAST_ROW, last_index=last)
+            g_frob = active_set_gamma(A, GammaMode.FROBENIUS)
             slack = 1e-9 * g_frob
             if k >= 1:
                 assert g_exact <= g_last + slack
             assert g_last <= g_frob + slack
-            indices = greedy_set(A, r, g_exact)
+            indices = greedy_set(A, r * r / A.row_norms_sq, float(r @ r), g_exact)
             probs = sampling_distribution(r, indices, "residual")
             i = int(indices[sample_index(probs, rng)])
             x = x - (r[i] / A.row_norms_sq[i]) * A.to_dense()[i]
@@ -343,7 +343,8 @@ def reference_row_action(problem, variant, seed, max_iters, rse_tol):
             i = k % m
         coeff = r[i] / A.row_norms_sq[i]
         x = x - coeff * A.to_dense()[i]
-        r = r - coeff * A.row_image(i)
+        rows, values = A.row_image(i)
+        r[rows] -= coeff * values
         selections.append(i)
         if np.sum((x - x_star) ** 2) / (x_star @ x_star) <= rse_tol:
             break
@@ -489,3 +490,26 @@ class TestPathwiseProperties:
         first, second = run(problem, config), run(problem, config)
         assert first.records == second.records
         assert np.array_equal(first.final_x, second.final_x)
+
+
+class TestRoundingFloor:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
+    @pytest.mark.parametrize("variant, gamma_mode, beta", [
+        ("grk", "exact", 0.0), ("grk", "lastrow", 0.0), ("grk", "frobenius", 0.0),
+        ("mgrk", "exact", 0.3), ("mgrk", "lastrow", 0.0), ("mgrk", "frobenius", 0.3)])
+    def test_greedy_run_below_any_tolerance_ends_converged(self, seed, storage, variant,
+                                                           gamma_mode, beta):
+        # Exact-mode gamma sums only the rows above the zero test, while ||r||^2
+        # also holds the rows below it; at the rounding floor no score reaches
+        # ||r||^2/gamma, and the run must stop there rather than raise.
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((30, 8))
+        mat[np.abs(mat) < 0.5] = 0.0
+        mat[:, 0] += 1.0
+        A = RowAccessMatrix(storage(mat))
+        b = A.matvec(rng.standard_normal(8))
+        trace = run(Problem(A, b), SolverConfig(variant=variant, gamma_mode=gamma_mode,
+                                                beta=beta, rse_tol=1e-300))
+        assert trace.termination == "converged"
+        assert trace.records[-1].res_sq <= 1e-20 * float(b @ b)
