@@ -8,14 +8,15 @@ beta) plus checks of recorded solver traces against the implied bounds:
 * the k-step envelopes (plain and momentum),
 * iteration-complexity constants from both the in-expectation and the
   pathwise rate.
+
+Every entry point refuses a sigma_min^2 or ||A||_F^2 that is not finite and
+positive with ``ValueError``: a NaN would make every bound pass vacuously.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .linalg import RowAccessMatrix, smallest_nonzero_singular_value
 from .solvers import Trace
@@ -49,17 +50,6 @@ class RateReport:
     igrk_factor: float             # per-step factor 1 - sigma^2/gamma (tighter)
     first_step_factor: float       # 1 - sigma^2/||A||_F^2, the k = 1 factor
 
-    def deterministic_bound(self, k: int) -> float:
-        return grk_bounds(self.sigma_min_sq, self.frob_sq, self.gamma_leaveout, k)[1]
-
-    def expectation_bound(self, k: int) -> float:
-        return grk_bounds(self.sigma_min_sq, self.frob_sq, self.gamma_leaveout, k)[0]
-
-    def bound_curve(self, ks, kind: str = "deterministic") -> np.ndarray:
-        """Bound on ||x_k - x*||^2 / ||x_0 - x*||^2 for each k in ``ks``."""
-        pick = self.deterministic_bound if kind == "deterministic" else self.expectation_bound
-        return np.array([pick(int(k)) for k in np.atleast_1d(ks)])
-
 
 @dataclass(frozen=True)
 class MomentumReport:
@@ -79,10 +69,10 @@ class MomentumReport:
     tau2: float
 
     def envelope(self, k: int, err0_sq: float = 1.0) -> float:
-        """Bound on the squared error after step k: q^k (1 + delta) err0."""
+        """Bound on the squared error after step k: q^k ((1 + delta) err0)."""
         if not self.feasible:
             raise ValueError("recursion constants infeasible (gamma1 + gamma2 >= 1)")
-        return self.q**k * (1.0 + self.delta) * err0_sq
+        return self.q**k * ((1.0 + self.delta) * err0_sq)
 
 
 @dataclass(frozen=True)
@@ -116,6 +106,21 @@ def gamma_leaveout(A: RowAccessMatrix) -> float:
     return float(A.frobenius_sq - A.row_norms_sq.min())
 
 
+def _check_spectrum(**values: float) -> None:
+    """Refuse each named value (sigma_min_sq, frob_sq) unless finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _grk_factors(sigma_min_sq: float, frob_sq: float, gamma: float) -> tuple[float, float, float]:
+    """The greedy solver's per-step factors ``(expectation, pathwise, first step)``:
+    1 - (frob/gamma + 1)/2 * sigma^2/frob, 1 - sigma^2/gamma and 1 - sigma^2/frob."""
+    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    expectation = 1.0 - 0.5 * (frob_sq / gamma + 1.0) * sigma_min_sq / frob_sq
+    return expectation, 1.0 - sigma_min_sq / gamma, 1.0 - sigma_min_sq / frob_sq
+
+
 def grk_bounds(
     sigma_min_sq: float, frob_sq: float, gamma: float, k: int
 ) -> tuple[float, float]:
@@ -126,36 +131,28 @@ def grk_bounds(
     * expectation form: (1 - (frob/gamma + 1)/2 * sigma^2/frob)^(k-1) * (1 - sigma^2/frob)
     * tight pathwise form: (1 - sigma^2/gamma)^(k-1) * (1 - sigma^2/frob)
 
-    The second is never larger than the first.
+    The second is never larger than the first; needs sigma^2 <= gamma < frob.
     """
-    if not 0.0 < sigma_min_sq <= gamma:
-        raise ValueError(f"need 0 < sigma_min_sq <= gamma, got {sigma_min_sq}, {gamma}")
-    if not gamma < frob_sq:
-        raise ValueError(f"need gamma < frob_sq, got {gamma}, {frob_sq}")
+    if not sigma_min_sq <= gamma < frob_sq:
+        raise ValueError(f"need sigma_min_sq <= gamma < frob_sq, got "
+                         f"{sigma_min_sq}, {gamma}, {frob_sq}")
+    exp_step, det_step, first = _grk_factors(sigma_min_sq, frob_sq, gamma)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0, 1.0
-    first = 1.0 - sigma_min_sq / frob_sq
-    exp_step = 1.0 - 0.5 * (frob_sq / gamma + 1.0) * sigma_min_sq / frob_sq
-    det_step = 1.0 - sigma_min_sq / gamma
     return exp_step ** (k - 1) * first, det_step ** (k - 1) * first
 
 
 def rate_report(A: RowAccessMatrix, sigma_min_sq: float | None = None) -> RateReport:
-    """Rate constants for ``A``; computes sigma_min by dense SVD if not given."""
+    """Rate constants for ``A``; computes sigma_min by dense SVD if not given.
+
+    The factors are those of ``grk_bounds`` with gamma = ``gamma_leaveout(A)``.
+    """
     if sigma_min_sq is None:
         sigma_min_sq = smallest_nonzero_singular_value(A) ** 2
-    frob = A.frobenius_sq
-    gamma = gamma_leaveout(A)
-    return RateReport(
-        sigma_min_sq=float(sigma_min_sq),
-        frob_sq=frob,
-        gamma_leaveout=gamma,
-        grk_expectation_factor=1.0 - 0.5 * (frob / gamma + 1.0) * sigma_min_sq / frob,
-        igrk_factor=1.0 - sigma_min_sq / gamma,
-        first_step_factor=1.0 - sigma_min_sq / frob,
-    )
+    frob, gamma = A.frobenius_sq, gamma_leaveout(A)
+    return RateReport(float(sigma_min_sq), frob, gamma, *_grk_factors(sigma_min_sq, frob, gamma))
 
 
 def _check_momentum_hypotheses(alpha: float, beta: float) -> None:
@@ -168,6 +165,14 @@ def _check_momentum_hypotheses(alpha: float, beta: float) -> None:
         raise ValueError(f"with beta > 0, alpha must lie in (0, 1 + beta), got {alpha}")
 
 
+def _taus(alpha: float, sigma_min_sq: float, frob_sq: float) -> tuple[float, float, float]:
+    """The ratio sigma^2/frob and the momentum constants
+    tau1 = 4 - 3 alpha sigma^2/frob and tau2 = (2 alpha - alpha^2) sigma^2/frob."""
+    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    ratio = sigma_min_sq / frob_sq
+    return ratio, 4.0 - 3.0 * alpha * ratio, (2.0 * alpha - alpha**2) * ratio
+
+
 def momentum_factors(
     alpha: float, beta: float, sigma_min_sq: float, frob_sq: float
 ) -> MomentumReport:
@@ -176,12 +181,11 @@ def momentum_factors(
     gamma1 = 2 b^2 + 3 b + 1 - (3 a b + 2 a - a^2) sigma^2/frob,
     gamma2 = 2 b^2 + b, with envelope base q = (gamma1 + sqrt(gamma1^2
     + 4 gamma2)) / 2 (or gamma1 when gamma2 = 0) and offset delta = q - gamma1.
-    The envelope applies only when gamma1 + gamma2 < 1.
+    The envelope applies only when gamma1 + gamma2 < 1, which for alpha <= 1
+    means beta < ``beta_upper``.
     """
     _check_momentum_hypotheses(alpha, beta)
-    if sigma_min_sq <= 0.0 or frob_sq <= 0.0:
-        raise ValueError("sigma_min_sq and frob_sq must be positive")
-    ratio = sigma_min_sq / frob_sq
+    ratio, tau1, tau2 = _taus(alpha, sigma_min_sq, frob_sq)
     gamma1 = 2.0 * beta**2 + 3.0 * beta + 1.0 - (3.0 * alpha * beta + 2.0 * alpha - alpha**2) * ratio
     gamma2 = 2.0 * beta**2 + beta
     if gamma2 > 0.0:
@@ -190,8 +194,6 @@ def momentum_factors(
         q = gamma1
     delta = q - gamma1
     bound = beta_upper(alpha, sigma_min_sq, frob_sq) if alpha <= 1.0 else None
-    tau1 = 4.0 - 3.0 * alpha * ratio
-    tau2 = (2.0 * alpha - alpha**2) * ratio
     return MomentumReport(
         alpha=alpha, beta=beta, sigma_min_sq=sigma_min_sq, frob_sq=frob_sq,
         gamma1=gamma1, gamma2=gamma2, q=q, delta=delta,
@@ -202,17 +204,13 @@ def momentum_factors(
 def beta_upper(alpha: float, sigma_min_sq: float, frob_sq: float) -> float:
     """Largest momentum weight with a provable envelope, for alpha in (0, 1].
 
-    Every beta in [0, bound) makes ``momentum_factors`` feasible, where
-    bound = (sqrt(tau1^2 + 16 tau2) - tau1) / 8 with tau1 = 4 - 3 alpha
-    sigma^2/frob and tau2 = (2 alpha - alpha^2) sigma^2/frob.
+    ``momentum_factors`` is feasible exactly for beta in [0, bound), where
+    bound = (sqrt(tau1^2 + 16 tau2) - tau1) / 8 is the positive root of
+    gamma1 + gamma2 = 1, that is of 4 beta^2 + tau1 beta - tau2 = 0.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if sigma_min_sq <= 0.0 or frob_sq <= 0.0:
-        raise ValueError("sigma_min_sq and frob_sq must be positive")
-    ratio = sigma_min_sq / frob_sq
-    tau1 = 4.0 - 3.0 * alpha * ratio
-    tau2 = (2.0 * alpha - alpha**2) * ratio
+    _, tau1, tau2 = _taus(alpha, sigma_min_sq, frob_sq)
     return 0.125 * (math.sqrt(tau1**2 + 16.0 * tau2) - tau1)
 
 
@@ -225,8 +223,7 @@ def iteration_complexity(
     probability 1 - rho; K2 = (frob/sigma^2) ln(err0 / epsilon) guarantees it
     outright and is never larger.
     """
-    if sigma_min_sq <= 0.0 or frob_sq <= 0.0:
-        raise ValueError("sigma_min_sq and frob_sq must be positive")
+    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
     if not 0.0 < epsilon < err0_sq:
         raise ValueError(f"need 0 < epsilon < err0_sq, got {epsilon}, {err0_sq}")
     if not 0.0 < rho < 1.0:
@@ -240,27 +237,31 @@ def iteration_complexity(
     )
 
 
-def certify_trace(
-    trace: Trace, sigma_min_sq: float, slack_scale: float = CERT_SLACK_SCALE
-) -> CertificationResult:
+def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     """Check a recorded trace against its convergence bound, step by step.
 
     Runs without momentum are held to the per-step contraction
     ``err_{k+1} <= (1 - alpha(2 - alpha) sigma^2/gamma_k) err_k + slack`` using
     the gamma recorded at each step, which follows from
     ``err_{k+1} = err_k - alpha(2 - alpha) r_i^2/||a_i||^2``; momentum runs are
-    held to the envelope ``err_{k+1} <= q^k (1 + delta) err_0 + slack``.  The
-    slack is ``slack_scale`` times the initial squared error, absorbing
-    floating-point accumulation only.  Returns the first violating step, if
-    any.  Step sizes outside the proven range (alpha in (0, 2) without
-    momentum) are refused with ``ValueError``.
+    held to ``MomentumReport.envelope``, ``err_{k+1} <= q^k (1 + delta) err_0
+    + slack``.  The slack is ``CERT_SLACK_SCALE`` times the initial squared
+    error, absorbing floating-point accumulation only.  Returns the first
+    violating step, if any.
+
+    A bound is asserted only where its hypotheses hold.  ``ValueError``
+    refuses a trace without the error metric or (rk, cyclic) gamma, a
+    ``sigma_min_sq`` or recorded ||A||_F^2 that is not finite and positive,
+    alpha outside (0, 2) without momentum or (0, 1 + beta) with it, and an
+    infeasible momentum envelope, naming ``beta_upper`` when alpha <= 1.
     """
     if trace.initial_err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
-    err0 = trace.initial_err_sq
-    slack = slack_scale * err0
     alpha, beta = trace.config.alpha, trace.config.beta
     _check_momentum_hypotheses(alpha, beta)
+    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=trace.frobenius_sq)
+    err0 = trace.initial_err_sq
+    slack = CERT_SLACK_SCALE * err0
 
     if beta == 0.0:
         rate = alpha * (2.0 - alpha)
@@ -281,14 +282,14 @@ def certify_trace(
 
     report = momentum_factors(alpha, beta, sigma_min_sq, trace.frobenius_sq)
     if not report.feasible:
-        raise ValueError(
-            f"momentum constants infeasible (gamma1 + gamma2 = "
-            f"{report.gamma1 + report.gamma2:.6g} >= 1); no envelope to certify against"
-        )
-    scale = (1.0 + report.delta) * err0
+        reason = (f"momentum constants infeasible (gamma1 + gamma2 = "
+                  f"{report.gamma1 + report.gamma2:.6g} >= 1); no envelope to certify against")
+        if report.beta_upper is not None:
+            reason += f"; beta = {beta} is not below beta_upper = {report.beta_upper:.6g}"
+        raise ValueError(reason)
     for rec in trace.records:
         if rec.err_sq is None:
             raise ValueError(f"record {rec.k} is missing the error metric")
-        if rec.err_sq > report.q**rec.k * scale + slack:
+        if rec.err_sq > report.envelope(rec.k, err0) + slack:
             return CertificationResult(False, rec.k, len(trace.records), "envelope")
     return CertificationResult(True, None, len(trace.records), "envelope")

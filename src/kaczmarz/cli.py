@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _check_spectrum,
     certify_trace,
     iteration_complexity,
     momentum_factors,
@@ -191,6 +192,8 @@ def _parse_args(argv) -> argparse.Namespace:
         if args.command == "certify":
             if args.sigma_min_sq is None and not args.matrix:
                 raise ValueError("certify needs --sigma-min-sq or --matrix")
+            if args.sigma_min_sq is not None:
+                _check_spectrum(sigma_min_sq=args.sigma_min_sq)
         else:
             args.source = _problem_source(args)
         if args.command == "solve":

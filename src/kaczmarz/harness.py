@@ -40,7 +40,6 @@ __all__ = [
     "gen_random_problem",
     "read_matrix_market",
     "write_matrix_market",
-    "read_vector",
     "write_vector",
     "load_problem_from_file",
     "run_experiment",
@@ -135,15 +134,6 @@ def write_matrix_market(A: RowAccessMatrix | np.ndarray, path, comment: str = ""
     return path
 
 
-def read_vector(path) -> np.ndarray:
-    """Read a vector stored as an m-by-1 (or 1-by-n) Matrix Market array."""
-    data = scipy.io.mmread(Path(path))
-    arr = data.toarray() if sp.issparse(data) else np.asarray(data, dtype=np.float64)
-    if arr.ndim == 2 and 1 not in arr.shape:
-        raise ValueError(f"{path}: expected a vector, got shape {arr.shape}")
-    return arr.ravel().astype(np.float64)
-
-
 def write_vector(v: np.ndarray, path, comment: str = "") -> Path:
     path = Path(path)
     scipy.io.mmwrite(path, np.asarray(v, dtype=np.float64).reshape(-1, 1), comment=comment)
@@ -204,6 +194,8 @@ class ExperimentSpec:
 
 @dataclass
 class TrialResult:
+    """One solve; every field but ``trace`` is a bench JSON key and a CSV column."""
+
     trial: int
     seed: int
     iters: int
@@ -217,11 +209,17 @@ class TrialResult:
 
 @dataclass
 class MethodResult:
+    """One method's trials; its fields are the bench JSON keys, in order."""
+
     label: str
     mean_iters: float
     mean_seconds: float
-    trials: list[TrialResult]
     hit_max_iters: int  # number of trials that stopped on the iteration cap
+    trials: list[TrialResult]
+
+
+# The TrialResult fields written out per trial, in order.
+_TRIAL_COLUMNS = [f.name for f in fields(TrialResult) if f.name != "trace"]
 
 
 @dataclass
@@ -231,32 +229,13 @@ class ExperimentResult:
     methods: list[MethodResult]
 
     def to_dict(self) -> dict:
-        return {
-            "problem": dict(self.problem),
-            "trials": self.trials,
-            "methods": [
-                {
-                    "label": meth.label,
-                    "mean_iters": meth.mean_iters,
-                    "mean_seconds": meth.mean_seconds,
-                    "hit_max_iters": meth.hit_max_iters,
-                    "trials": [
-                        {
-                            "trial": t.trial,
-                            "seed": t.seed,
-                            "iters": t.iters,
-                            "seconds": t.seconds,
-                            "final_rse": t.final_rse,
-                            "certified": t.certified,
-                            "refusal": t.refusal,
-                            "termination": t.termination,
-                        }
-                        for t in meth.trials
-                    ],
-                }
-                for meth in self.methods
-            ],
-        }
+        """The bench JSON: every field, and each trial without its trace."""
+        methods = [{f.name: getattr(meth, f.name) for f in fields(MethodResult)}
+                   for meth in self.methods]
+        for meth in methods:
+            meth["trials"] = [{name: getattr(t, name) for name in _TRIAL_COLUMNS}
+                              for t in meth["trials"]]
+        return {"problem": dict(self.problem), "trials": self.trials, "methods": methods}
 
 
 def _problem_summary(spec: ExperimentSpec, problem: Problem) -> dict:
@@ -326,8 +305,16 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
                             trials=spec.trials, methods=methods)
 
 
-CSV_COLUMNS = ["method", "trial", "seed", "iters", "seconds", "final_rse", "certified",
-               "refusal", "termination"]
+CSV_COLUMNS = ["method", *_TRIAL_COLUMNS]
+# CSV number formats by column; other values are written as str() gives them.
+_CSV_FORMATS = {"seconds": ".6f", "final_rse": ".6e"}
+
+
+def _csv_row(label: str, values: dict) -> list[str]:
+    """A CSV row of ``label`` and the named column values; None and absent are empty."""
+    return [label] + ["" if values.get(name) is None
+                      else format(values[name], _CSV_FORMATS.get(name, ""))
+                      for name in _TRIAL_COLUMNS]
 
 
 def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> str:
@@ -345,18 +332,11 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
         writer.writerow(CSV_COLUMNS)
         for meth in result.methods:
             for t in meth.trials:
-                writer.writerow([
-                    meth.label, t.trial, t.seed, t.iters, f"{t.seconds:.6f}",
-                    "" if t.final_rse is None else f"{t.final_rse:.6e}",
-                    "" if t.certified is None else t.certified, t.refusal or "",
-                    t.termination,
-                ])
+                writer.writerow(_csv_row(meth.label, vars(t)))
         for meth in result.methods:
-            n_cert = sum(1 for t in meth.trials if t.certified)
-            writer.writerow([
-                meth.label, "mean", "", f"{meth.mean_iters:.2f}",
-                f"{meth.mean_seconds:.6f}", "", n_cert, "", "",
-            ])
+            writer.writerow(_csv_row(meth.label, {
+                "trial": "mean", "iters": f"{meth.mean_iters:.2f}", "seconds": meth.mean_seconds,
+                "certified": sum(1 for t in meth.trials if t.certified)}))
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {format!r} (expected csv or json)")
@@ -368,6 +348,10 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 # -- trace files --------------------------------------------------------------
 
 TRACE_COLUMNS = list(TraceRecord._fields)
+# The Trace fields on the metadata line beside the SolverConfig fields: all
+# but the records (the rows), the config itself and the arrays.
+_TRACE_METADATA = [f.name for f in fields(Trace)
+                   if f.name not in ("records", "config", "final_x", "iterates")]
 
 
 def _field(text: str):
@@ -389,11 +373,7 @@ def write_trace_csv(trace: Trace, path) -> Path:
     """
     meta = {
         **asdict(replace(trace.config, gamma_mode=trace.config.resolved_gamma_mode())),
-        "termination": trace.termination,
-        "initial_err_sq": trace.initial_err_sq,
-        "initial_res_sq": trace.initial_res_sq,
-        "frobenius_sq": trace.frobenius_sq,
-        "x_star_norm_sq": trace.x_star_norm_sq,
+        **{name: getattr(trace, name) for name in _TRACE_METADATA},
     }
     path = Path(path)
     with path.open("w", newline="") as fh:
@@ -423,13 +403,5 @@ def read_trace_csv(path) -> Trace:
     # Older files may lack some SolverConfig fields (defaults apply) or carry
     # keys that are no longer stored (ignored).
     config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})
-    return Trace(
-        records=records,
-        termination=meta["termination"],
-        initial_err_sq=meta["initial_err_sq"],
-        initial_res_sq=meta["initial_res_sq"],
-        final_x=None,
-        config=config,
-        frobenius_sq=meta["frobenius_sq"],
-        x_star_norm_sq=meta["x_star_norm_sq"],
-    )
+    return Trace(records=records, final_x=None, config=config,
+                 **{name: meta[name] for name in _TRACE_METADATA})

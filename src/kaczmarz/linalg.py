@@ -182,20 +182,6 @@ class RowAccessMatrix:
             return self._dense
         return self._csr.toarray()
 
-    def validate(self, rtol: float = 1e-12) -> None:
-        """Check the construction invariants; used by tests."""
-        total = float(self.row_norms_sq.sum())
-        if abs(total - self.frobenius_sq) > rtol * max(1.0, abs(self.frobenius_sq)):
-            raise AssertionError("cached Frobenius mass disagrees with row norms")
-        if self.is_sparse:
-            indptr, indices = self._csr.indptr, self._csr.indices
-            if np.any(np.diff(indptr) < 0):
-                raise AssertionError("CSR row pointers must be nondecreasing")
-            for i in range(self.m):
-                cols = indices[indptr[i]:indptr[i + 1]]
-                if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                    raise AssertionError(f"CSR column indices not strictly increasing in row {i}")
-
 
 class Problem:
     """A consistent linear system Ax = b with an optional reference solution.

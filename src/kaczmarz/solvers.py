@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Problem, RowAccessMatrix
+from .linalg import Problem, RowAccessMatrix, _as_vector
 from .selection import (
     GammaMode,
     GreedyCertificateError,
@@ -74,18 +74,19 @@ class SolverConfig:
         if self.gamma_mode is not None:
             self.gamma_mode = GammaMode(self.gamma_mode)
         self.prob_rule = ProbabilityRule(self.prob_rule)
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        # Written so that NaN fails each range check, as infinity does.
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.variant is SolverVariant.GRK and self.beta != 0.0:
             raise ValueError("the grk variant runs without momentum; use mgrk for beta > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.rse_tol <= 0.0:
-            raise ValueError("the stopping tolerance must be positive")
+        if not 0.0 < self.rse_tol < math.inf:
+            raise ValueError(f"rse_tol must be finite and positive, got {self.rse_tol}")
         # Gamma_k = ||A||_F^2 - ||a_{i_{k-1}}||^2 bounds the active-set mass only
         # when the previous step zeroed its row's residual.
         if self.gamma_mode is GammaMode.LAST_ROW and (self.alpha != 1.0 or self.beta != 0.0):
@@ -235,10 +236,12 @@ def run(
 ) -> Trace:
     """Drive one solver run to a stopping rule and record its trace.
 
-    Starts from zero unless ``x0`` is given.  Error metrics are measured
-    against ``problem.x_star``, which is the correct target for x0 = 0 (and
-    for any x0 whose offset from x* lies in Range(A^T)).  Identical
-    (problem, config) pairs produce identical traces.
+    Starts from zero unless ``x0`` is given; an ``x0`` of the wrong length
+    or with NaN or infinite entries raises ``ValueError``, and the caller's
+    array is never written.  Error metrics are measured against
+    ``problem.x_star``, which is the correct target for x0 = 0 (and for any
+    x0 whose offset from x* lies in Range(A^T)).  Identical (problem, config)
+    pairs produce identical traces.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
@@ -259,9 +262,7 @@ def run(
     alpha, beta, theta = config.alpha, config.beta, config.theta
     rng = np.random.default_rng(config.seed)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64).ravel()
-    if x.shape[0] != n:
-        raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
+    x = np.zeros(n) if x0 is None else _as_vector(x0, n, "x0")
     r = A.matvec(x) - b
 
     x_star = problem.x_star

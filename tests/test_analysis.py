@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,9 +105,13 @@ class TestRateReport:
 
     def test_bound_curve(self):
         report = rate_report(DIAG)
-        np.testing.assert_allclose(
-            report.bound_curve([0, 1, 2]), [1.0, 0.8, 0.6], rtol=1e-12)
-        assert report.expectation_bound(2) == pytest.approx(0.62, rel=1e-12)
+        bounds = [grk_bounds(report.sigma_min_sq, report.frob_sq, report.gamma_leaveout, k)
+                  for k in (0, 1, 2)]
+        np.testing.assert_allclose([det for _, det in bounds], [1.0, 0.8, 0.6], rtol=1e-12)
+        assert bounds[2][0] == pytest.approx(0.62, rel=1e-12)
+        # The k = 2 bounds are the report's per-step factors times the first step's.
+        assert bounds[2] == (report.grk_expectation_factor * report.first_step_factor,
+                             report.igrk_factor * report.first_step_factor)
 
 
 class TestMomentumFactors:
@@ -275,3 +280,59 @@ class TestCertifyTrace:
         trace = run(problem, SolverConfig(variant="grk", alpha=2.5, seed=0, max_iters=300))
         with pytest.raises(ValueError, match="alpha"):
             certify_trace(trace, sigma_min_sq=1.0)
+
+    def test_benchmark_momentum_lies_outside_the_proven_range(self):
+        # The dense-multitrial benchmark matrix and its mgrk setting, beta = 0.4.
+        problem = gen_random_problem(RandomProblemSpec(m=1000, n=100, r=100, kappa=10.0, seed=0))
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        bound = beta_upper(1.0, sigma_sq, problem.A.frobenius_sq)
+        assert bound == pytest.approx(1.0999e-4, rel=1e-3)
+        assert not momentum_factors(1.0, 0.4, sigma_sq, problem.A.frobenius_sq).feasible
+        trace = run(problem, SolverConfig(variant="mgrk", beta=0.4, seed=1))
+        assert trace.termination == "rse_tol"
+        with pytest.raises(ValueError, match=f"beta = 0.4 is not below beta_upper = {bound:.6g}$"):
+            certify_trace(trace, sigma_sq)
+
+    def test_over_relaxed_momentum_refusal_names_no_beta_upper(self):
+        problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])
+        trace = run(problem, SolverConfig(variant="mgrk", alpha=1.5, beta=0.9, seed=0,
+                                          max_iters=50))
+        with pytest.raises(ValueError, match="no envelope to certify against$"):
+            certify_trace(trace, sigma_min_sq=1.0)
+
+
+def _stub_matrix(frob_sq):
+    """What rate_report reads of a matrix, with any Frobenius mass."""
+    return SimpleNamespace(m=2, frobenius_sq=frob_sq, row_norms_sq=np.array([1.0, 1.0]))
+
+
+_HAND = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])
+_GRK_TRACE = run(_HAND, SolverConfig(variant="grk", seed=0))
+_MGRK_TRACE = run(_HAND, SolverConfig(variant="mgrk", beta=0.05, seed=0, max_iters=200))
+
+# Every analysis entry point as a function of (sigma_min_sq, frob_sq); sigma = 1,
+# frob = 5 is valid for each.
+ENTRY_POINTS = {
+    "grk_bounds": lambda s, f: grk_bounds(s, f, 4.0, 3),
+    "rate_report": lambda s, f: rate_report(_stub_matrix(f), s),
+    "momentum_factors": lambda s, f: momentum_factors(1.0, 0.05, s, f),
+    "beta_upper": lambda s, f: beta_upper(1.0, s, f),
+    "iteration_complexity": lambda s, f: iteration_complexity(s, f, 1.0, 1e-3, 0.5),
+    "certify_trace per_step": lambda s, f: certify_trace(replace(_GRK_TRACE, frobenius_sq=f), s),
+    "certify_trace envelope": lambda s, f: certify_trace(replace(_MGRK_TRACE, frobenius_sq=f), s),
+}
+BAD_SPECTRA = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_valid_spectrum_accepted(entry):
+    ENTRY_POINTS[entry](1.0, 5.0)
+
+
+@pytest.mark.parametrize("quantity", ["sigma_min_sq", "frob_sq"])
+@pytest.mark.parametrize("value", BAD_SPECTRA)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_invalid_spectrum_refused(entry, value, quantity):
+    args = {"sigma_min_sq": 1.0, "frob_sq": 5.0, quantity: value}
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[entry](args["sigma_min_sq"], args["frob_sq"])

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.io
 
 from kaczmarz import cli
 from kaczmarz.cli import main
@@ -13,7 +14,6 @@ from kaczmarz.harness import (
     gen_random_problem,
     read_matrix_market,
     read_trace_csv,
-    read_vector,
     write_trace_csv,
 )
 from kaczmarz.solvers import SolverConfig, run
@@ -31,8 +31,8 @@ def test_gen_writes_problem_files(tmp_path, capsys):
                  "--out", str(prefix)])
     assert code == 0
     A = read_matrix_market(f"{prefix}_A.mtx")
-    b = read_vector(f"{prefix}_b.mtx")
-    x_star = read_vector(f"{prefix}_xstar.mtx")
+    b = scipy.io.mmread(f"{prefix}_b.mtx").ravel()
+    x_star = scipy.io.mmread(f"{prefix}_xstar.mtx").ravel()
     assert A.shape == (20, 5)
     assert np.linalg.norm(A.matvec(x_star) - b) <= 1e-8 * max(1, np.linalg.norm(b))
 
@@ -210,7 +210,20 @@ def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", "--trace", str(trace_path),
                  "--matrix", f"{prefix}_A.mtx"]) == 2
-    assert capsys.readouterr().err.startswith("kaczmarz: error: momentum constants infeasible")
+    err = capsys.readouterr().err
+    assert err.startswith("kaczmarz: error: momentum constants infeasible")
+    assert "beta = 0.4 is not below beta_upper = " in err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("variant, beta", [("grk", "0"), ("rk", "0"), ("mgrk", "0.001")])
+def test_certify_refuses_a_bad_sigma_min_sq(tmp_path, capsys, variant, beta, sigma):
+    trace_path = tmp_path / f"{variant}.csv"
+    assert main(["solve", "--m", "30", "--n", "6", "--seed", "1", "--method", variant,
+                 "--beta", beta, "--out", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(trace_path), f"--sigma-min-sq={sigma}"]) == 1
+    assert "sigma_min_sq must be finite and positive" in capsys.readouterr().err
 
 
 # Every SolverConfig field: the bench flag that sets it and a value other than
@@ -264,6 +277,15 @@ BAD_SETTINGS = [
     (["bench", "--methods", "grk:beta=abc"], None),
     (["bench", "--methods", "grk:max=5"], None),  # no prefix matching of flag names
     (["solve", "--alpha", "-1"], None),
+    (["solve", "--m", "50", "--n", "10", "--alpha", "nan"], None),
+    (["solve", "--alpha", "inf"], None),
+    (["solve", "--method", "mgrk", "--beta", "nan"], None),
+    (["solve", "--method", "mgrk", "--beta", "inf"], None),
+    (["solve", "--rse-tol", "nan", "--max-iters", "500"], None),
+    (["solve", "--rse-tol", "inf"], None),
+    (["bench", "--methods", "grk:alpha=nan"], None),
+    (["bench"], "rse_tol = nan"),
+    (["certify", "--trace", "t.csv", "--sigma-min-sq", "nan"], None),
     (["solve", "--kappa", "0.5"], None),
     (["solve", "--gamma-mode", "lastrow", "--alpha", "0.5"], None),
     (["bench", "--trials", "0"], None),

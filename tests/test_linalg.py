@@ -29,15 +29,17 @@ class TestRowAccessMatrix:
         A = RowAccessMatrix(DIAG)
         assert A.shape == (2, 2)
         np.testing.assert_allclose(A.row_norms_sq, [1.0, 4.0])
-        assert A.frobenius_sq == 5.0
-        A.validate()
+        assert A.frobenius_sq == 5.0 == A.row_norms_sq.sum()
 
     def test_cached_norms_sparse(self):
-        A = RowAccessMatrix(sp.csr_array(np.array(DIAG)))
+        A = RowAccessMatrix(sp.coo_array(([2.0, 1.0, 0.0], ([1, 0, 1], [1, 0, 0])), shape=(2, 2)))
         assert A.is_sparse
         np.testing.assert_allclose(A.row_norms_sq, [1.0, 4.0])
-        assert A.frobenius_sq == 5.0
-        A.validate()
+        assert A.frobenius_sq == 5.0 == A.row_norms_sq.sum()
+        # Stored in canonical CSR: sorted, distinct, nonzero column indices.
+        np.testing.assert_array_equal(A._csr.indptr, [0, 1, 2])
+        np.testing.assert_array_equal(A._csr.indices, [0, 1])
+        np.testing.assert_array_equal(A._csr.data, [1.0, 2.0])
 
     def test_zero_row_rejected_dense(self):
         with pytest.raises(ValueError, match="row 1"):

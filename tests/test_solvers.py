@@ -188,6 +188,19 @@ class TestRunHandTrace:
             assert trace.iterations == 0
             assert trace.termination == "rse_tol"
 
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf], [0.0, -np.inf], [0.0, 0.0, 0.0]])
+    def test_bad_start_refused(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            run(DIAG_PROBLEM, SolverConfig(variant="grk"), x0=np.array(x0))
+
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3), ("rk", 0.0)])
+    def test_start_left_unmodified(self, variant, beta):
+        x0 = np.array([0.5, -1.0])
+        x0.setflags(write=False)  # a write into it would raise
+        trace = run(DIAG_PROBLEM, SolverConfig(variant=variant, beta=beta, seed=0), x0=x0)
+        assert trace.iterations > 0
+        np.testing.assert_array_equal(x0, [0.5, -1.0])
+
 
 class TestRunBehavior:
     def test_seed_determinism(self):
