@@ -106,8 +106,8 @@ def gamma_leaveout(A: RowAccessMatrix) -> float:
     return float(A.frobenius_sq - A.row_norms_sq.min())
 
 
-def _check_spectrum(**values: float) -> None:
-    """Refuse each named value (sigma_min_sq, frob_sq) unless finite and positive."""
+def _check_positive(**values: float) -> None:
+    """Refuse each named value (sigma_min_sq, frob_sq, epsilon) unless finite and positive."""
     for name, value in values.items():
         if not 0.0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -115,8 +115,14 @@ def _check_spectrum(**values: float) -> None:
 
 def _grk_factors(sigma_min_sq: float, frob_sq: float, gamma: float) -> tuple[float, float, float]:
     """The greedy solver's per-step factors ``(expectation, pathwise, first step)``:
-    1 - (frob/gamma + 1)/2 * sigma^2/frob, 1 - sigma^2/gamma and 1 - sigma^2/frob."""
-    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    1 - (frob/gamma + 1)/2 * sigma^2/frob, 1 - sigma^2/gamma and 1 - sigma^2/frob.
+
+    They are contraction factors only under sigma^2 <= gamma < frob; outside
+    it the pathwise factor turns negative, so that is refused."""
+    _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    if not sigma_min_sq <= gamma < frob_sq:
+        raise ValueError(f"need sigma_min_sq <= gamma < frob_sq, got "
+                         f"{sigma_min_sq}, {gamma}, {frob_sq}")
     expectation = 1.0 - 0.5 * (frob_sq / gamma + 1.0) * sigma_min_sq / frob_sq
     return expectation, 1.0 - sigma_min_sq / gamma, 1.0 - sigma_min_sq / frob_sq
 
@@ -133,9 +139,6 @@ def grk_bounds(
 
     The second is never larger than the first; needs sigma^2 <= gamma < frob.
     """
-    if not sigma_min_sq <= gamma < frob_sq:
-        raise ValueError(f"need sigma_min_sq <= gamma < frob_sq, got "
-                         f"{sigma_min_sq}, {gamma}, {frob_sq}")
     exp_step, det_step, first = _grk_factors(sigma_min_sq, frob_sq, gamma)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -147,7 +150,9 @@ def grk_bounds(
 def rate_report(A: RowAccessMatrix, sigma_min_sq: float | None = None) -> RateReport:
     """Rate constants for ``A``; computes sigma_min by dense SVD if not given.
 
-    The factors are those of ``grk_bounds`` with gamma = ``gamma_leaveout(A)``.
+    The factors are those of ``grk_bounds`` with gamma = ``gamma_leaveout(A)``,
+    under the same hypothesis sigma^2 <= gamma, which fails for instance on
+    a rank-one matrix, whose sigma^2 is all of ||A||_F^2.
     """
     if sigma_min_sq is None:
         sigma_min_sq = smallest_nonzero_singular_value(A) ** 2
@@ -168,7 +173,7 @@ def _check_momentum_hypotheses(alpha: float, beta: float) -> None:
 def _taus(alpha: float, sigma_min_sq: float, frob_sq: float) -> tuple[float, float, float]:
     """The ratio sigma^2/frob and the momentum constants
     tau1 = 4 - 3 alpha sigma^2/frob and tau2 = (2 alpha - alpha^2) sigma^2/frob."""
-    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
     ratio = sigma_min_sq / frob_sq
     return ratio, 4.0 - 3.0 * alpha * ratio, (2.0 * alpha - alpha**2) * ratio
 
@@ -214,6 +219,12 @@ def beta_upper(alpha: float, sigma_min_sq: float, frob_sq: float) -> float:
     return 0.125 * (math.sqrt(tau1**2 + 16.0 * tau2) - tau1)
 
 
+def _check_rho(rho: float) -> None:
+    """Refuse a confidence level rho outside (0, 1), NaN included."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+
+
 def iteration_complexity(
     sigma_min_sq: float, frob_sq: float, err0_sq: float, epsilon: float, rho: float
 ) -> ComplexityReport:
@@ -223,11 +234,10 @@ def iteration_complexity(
     probability 1 - rho; K2 = (frob/sigma^2) ln(err0 / epsilon) guarantees it
     outright and is never larger.
     """
-    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
     if not 0.0 < epsilon < err0_sq:
         raise ValueError(f"need 0 < epsilon < err0_sq, got {epsilon}, {err0_sq}")
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    _check_rho(rho)
     scale = frob_sq / sigma_min_sq
     return ComplexityReport(
         K1=scale * math.log(err0_sq / (epsilon * rho)),
@@ -259,7 +269,7 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
     alpha, beta = trace.config.alpha, trace.config.beta
     _check_momentum_hypotheses(alpha, beta)
-    _check_spectrum(sigma_min_sq=sigma_min_sq, frob_sq=trace.frobenius_sq)
+    _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=trace.frobenius_sq)
     err0 = trace.initial_err_sq
     slack = CERT_SLACK_SCALE * err0
 

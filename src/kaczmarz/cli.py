@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    _check_spectrum,
+    _check_positive,
+    _check_rho,
     certify_trace,
     iteration_complexity,
     momentum_factors,
@@ -193,9 +194,13 @@ def _parse_args(argv) -> argparse.Namespace:
             if args.sigma_min_sq is None and not args.matrix:
                 raise ValueError("certify needs --sigma-min-sq or --matrix")
             if args.sigma_min_sq is not None:
-                _check_spectrum(sigma_min_sq=args.sigma_min_sq)
+                _check_positive(sigma_min_sq=args.sigma_min_sq)
         else:
             args.source = _problem_source(args)
+        if args.command == "bound":
+            if args.epsilon is not None:
+                _check_positive(epsilon=args.epsilon)
+            _check_rho(args.rho)
         if args.command == "solve":
             args.solver = _config_from_args(args)
         if args.command == "bench":
@@ -253,12 +258,15 @@ def _cmd_bench(args) -> int:
 def _cmd_bound(args) -> int:
     problem = load_problem(args.source, args.seed)
     sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
-    rates = rate_report(problem.A, sigma_min_sq=sigma_sq)
     report = {
-        "rate": dataclasses.asdict(rates),
+        "rate": None,
         "momentum": None,
         "complexity": None,
     }
+    try:
+        report["rate"] = dataclasses.asdict(rate_report(problem.A, sigma_min_sq=sigma_sq))
+    except ValueError as exc:
+        report["rate"] = {"error": str(exc)}
     try:
         report["momentum"] = dataclasses.asdict(
             momentum_factors(args.alpha, args.beta, sigma_sq, problem.A.frobenius_sq))

@@ -60,14 +60,15 @@ def active_set_gamma(
     (``None`` means the first iteration, where the full Frobenius mass
     applies).  Only exact mode reads ``loud``.
     """
-    mode = GammaMode(mode)
+    if type(mode) is not GammaMode:
+        mode = GammaMode(mode)
     if mode is GammaMode.EXACT:
-        if loud is None or loud.shape[0] != A.m:
+        if loud is None or len(loud) != A.m:
             raise ValueError(f"exact mode needs a row mask of length {A.m}")
-        return float(A.row_norms_sq[loud].sum())
+        return float(np.add.reduce(A.row_norms_sq[loud]))
     gamma = A.frobenius_sq
     if mode is GammaMode.LAST_ROW and last_index is not None:
-        gamma -= float(A.row_norms_sq[last_index])
+        gamma -= A.row_norms_sq.item(last_index)
     return float(gamma)
 
 
@@ -90,21 +91,26 @@ def greedy_set(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if scores.shape[0] != A.m:
-        raise ValueError(f"scores have length {scores.shape[0]}, expected {A.m}")
+    if len(scores) != A.m:
+        raise ValueError(f"scores have length {len(scores)}, expected {A.m}")
     if rss == 0.0:
         raise ValueError("residual is zero: system already solved")
     if not math.isfinite(rss):
         raise GreedyCertificateError(f"||r||^2 = {rss!r} is not finite")
 
-    best = int(np.argmax(scores))
-    threshold = theta * float(scores[best]) + (1.0 - theta) * rss / gamma
+    best = int(scores.argmax())
+    top = scores.item(best)
+    threshold = theta * top + (1.0 - theta) * rss / gamma
     mask = scores >= threshold
     mask[best] = True  # guard against the argmax dropping out to rounding
-    indices = np.flatnonzero(mask)
+    indices = mask.nonzero()[0]
 
     # Every member is certified to sit at or above the mean level ||r||^2/gamma.
-    if not float(scores[indices].min()) >= (rss / gamma) * (1.0 - 1e-9):
+    # Members other than the best clear the threshold, so the members'
+    # minimum is read only when the threshold and the best do not settle it.
+    floor = (rss / gamma) * (1.0 - 1e-9)
+    if not (threshold >= floor and top >= floor
+            or np.minimum.reduce(scores[indices]) >= floor):
         raise GreedyCertificateError(
             f"greedy member below the ||r||^2/gamma certificate (||r||^2 = {rss:.6g}, "
             f"gamma = {gamma:.6g}): gamma is below the active-set mass")
@@ -119,15 +125,16 @@ def sampling_distribution(
     Residual rule: p_i proportional to r_i^2 restricted to the working set.
     Uniform rule: 1/|set|.  Probabilities are normalized to sum to one.
     """
-    rule = ProbabilityRule(rule)
+    if type(rule) is not ProbabilityRule:
+        rule = ProbabilityRule(rule)
     size = len(indices)
     if size == 0:
         raise ValueError("working set is empty")
     if rule is ProbabilityRule.UNIFORM:
         return np.full(size, 1.0 / size)
-    r = np.asarray(r, dtype=np.float64)
-    weights = r[indices] ** 2
-    total = float(weights.sum())
+    weights = np.asarray(r, dtype=np.float64)[indices]
+    weights *= weights
+    total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise ValueError("all working-set residuals are zero")
     return weights / total
@@ -138,11 +145,11 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
     Returns a position into ``probs`` (the caller maps it back to a row).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.size == 0:
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    size = len(cdf)
+    if size == 0:
         raise ValueError("cannot sample from an empty distribution")
-    cdf = np.cumsum(probs)
-    if not abs(cdf[-1] - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {cdf[-1]!r}, expected 1")
-    u = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), probs.size - 1)
+    total = cdf.item(-1)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    return min(int(cdf.searchsorted(rng.random() * total, side="right")), size - 1)

@@ -41,6 +41,10 @@ REFRESH_EVERY = 1000
 # Cap on the bytes held by cached residual-update directions (A @ a_i).
 _IMAGE_CACHE_BYTES = 64_000_000
 
+# rk draws its uniforms this many at a time; a block is the same stream as
+# that many single draws, so the selections do not depend on it.
+_RK_BLOCK = 1024
+
 
 class SolverVariant(str, Enum):
     CYCLIC = "cyclic"
@@ -186,13 +190,15 @@ def kaczmarz_step(
     it was.  Without ``r``, r_i = <a_i, x> - b_i costs O(nnz(a_i)) and
     ``r_new`` is None.
     """
+    # Scalar arithmetic on Python floats: the same IEEE operations as on numpy
+    # scalars, without their per-operation overhead.
     if r is None:
-        r_i = A.row_dot(i, x) - b[i]
+        r_i = A.row_dot(i, x) - b.item(i)
     else:
-        r_i = r[i]
+        r_i = r.item(i)
         if beta != 0.0 and r_prev is None:
             raise ValueError("momentum residual update needs the previous residual")
-    coeff = alpha * r_i / A.row_norms_sq[i]
+    coeff = alpha * r_i / A.row_norms_sq.item(i)
     if beta != 0.0:
         x_new = x + beta * (x - x_prev)
     else:
@@ -210,20 +216,28 @@ def kaczmarz_step(
     return x_new, r_new
 
 
-def _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config) -> str | None:
+def _err_sq(x: np.ndarray, x_star: np.ndarray, buf: np.ndarray) -> float:
+    """||x - x*||^2 computed in ``buf``: the same pairwise sum, bit for bit, as
+    ``np.sum((x - x_star) ** 2)``, without its two temporaries."""
+    np.subtract(x, x_star, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return float(np.add.reduce(buf))
+
+
+def _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol) -> str | None:
     """Termination reason for the current metrics, or None to keep going.
 
-    Both metrics are sums of squares, so their sum is finite exactly when every
-    metric computed is.  The residual is watched even when x* is known,
-    because greedy selection reads it and it can overflow before the error.
+    ``err_sq`` is compared relative to ``err_denom`` when x* is known,
+    ``res_sq`` relative to ``res_denom`` when not.  Both metrics are sums of
+    squares, so their sum is finite exactly when every metric computed is.
+    The residual is watched even when x* is known, because greedy selection
+    reads it and it can overflow before the error.
     """
     if not math.isfinite((err_sq or 0.0) + (res_sq or 0.0)):
         return "nonfinite"
     if err_sq is not None:
-        denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
-        return "rse_tol" if err_sq / denom <= config.rse_tol else None
-    denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-    return "residual_tol" if res_sq / denom <= config.rse_tol else None
+        return "rse_tol" if err_sq / err_denom <= rse_tol else None
+    return "residual_tol" if res_sq / res_denom <= rse_tol else None
 
 
 # A diverging run ends "nonfinite"; numpy need not also warn about it.
@@ -241,11 +255,16 @@ def run(
     array is never written.  Error metrics are measured against
     ``problem.x_star``, which is the correct target for x0 = 0 (and for any
     x0 whose offset from x* lies in Range(A^T)).  Identical (problem, config)
-    pairs produce identical traces.
+    pairs produce identical traces.  Each ``err_sq`` is bitwise
+    ``np.sum((x - x_star) ** 2)`` of the iterate it follows, computed in a
+    buffer kept for the run.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
-    its own row and records ``res_sq=None``.
+    its own row and records ``res_sq=None``.  ``rk`` draws its uniforms
+    ``_RK_BLOCK`` at a time and maps a block to rows in one search; a block
+    is the same stream as that many single draws, so the selections are
+    those of one ``rng.random()`` per step.
 
     Greedy runs keep the scores r_i^2/||a_i||^2 and, in exact gamma mode, the
     mask |r_i| > tau.  Without momentum a step updates them on
@@ -272,7 +291,8 @@ def run(
     # Floating-point test for "this residual entry is zero".
     tau_res = 1e-14 * max(1.0, b_inf)
 
-    err_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
+    err_buf = np.empty(n)
+    err_sq = _err_sq(x, x_star, err_buf) if x_star is not None else None
     res_sq = float(r @ r)
     iterates = [x.copy()] if capture_iterates else None
 
@@ -288,7 +308,11 @@ def run(
         iterates=iterates,
     )
 
-    reason = _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config)
+    # Relative-metric denominators, 1 for a zero x* or b.
+    err_denom = x_star_norm_sq if x_star is not None and x_star_norm_sq > 0.0 else 1.0
+    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
+    rse_tol = config.rse_tol
+    reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
     if reason is not None:
         trace.termination = reason
         trace.final_x = x.copy()
@@ -301,11 +325,18 @@ def run(
     # Momentum steps never write into x or r, so the first momentum term is
     # exactly zero.
     x_prev, r_prev = x, r
-    rk_cdf = np.cumsum(A.row_norms_sq) if variant is SolverVariant.RK else None
+    rk = variant is SolverVariant.RK
+    if rk:
+        rk_cdf = A.row_norms_sq.cumsum()
+        rk_total = rk_cdf[-1]
+    prob_rule = config.prob_rule
+    row_norms_sq = A.row_norms_sq
+    records = trace.records
     image_cache: dict[int, tuple[np.ndarray | slice, np.ndarray]] = {}
     cache_bytes = 0
     last_index = None
     exact = gamma_mode is GammaMode.EXACT
+    last_row = gamma_mode is GammaMode.LAST_ROW
     # ||r||^2 above this proves some |r_i| > tau_res, with room for rounding.
     loud_floor = 2.0 * m * tau_res * tau_res
     # Selection state: the scores, and in exact mode the loud mask.
@@ -317,11 +348,10 @@ def run(
 
         if greedy:
             if stale:
-                scores = (r * r) / A.row_norms_sq
+                scores = (r * r) / row_norms_sq
                 if exact:
                     loud = np.abs(r) > tau_res
-            last = last_index if gamma_mode is GammaMode.LAST_ROW else None
-            gamma = active_set_gamma(A, gamma_mode, loud, last)
+            gamma = active_set_gamma(A, gamma_mode, loud, last_index if last_row else None)
             # Row norms are positive, so exact-mode gamma is zero just when no row
             # is loud.
             if exact:
@@ -339,12 +369,16 @@ def run(
                     raise
                 trace.termination = "converged"
                 break
-            probs = sampling_distribution(r, indices, config.prob_rule)
-            i = int(indices[sample_index(probs, rng)])
+            probs = sampling_distribution(r, indices, prob_rule)
+            i = indices.item(sample_index(probs, rng))
             set_size, gamma_rec = len(indices), gamma
-        elif variant is SolverVariant.RK:
-            u = rng.random() * rk_cdf[-1]
-            i = min(int(np.searchsorted(rk_cdf, u, side="right")), m - 1)
+        elif rk:
+            j = k % _RK_BLOCK
+            if j == 0:
+                u = rng.random(min(_RK_BLOCK, config.max_iters - k))
+                picks = rk_cdf.searchsorted(u * rk_total, side="right")
+                picks = np.minimum(picks, m - 1, out=picks).tolist()
+            i = picks[j]
         else:
             i = k % m
 
@@ -373,16 +407,16 @@ def run(
             if greedy and not stale:
                 rows = image[0]
                 r_rows = r[rows]
-                scores[rows] = (r_rows * r_rows) / A.row_norms_sq[rows]
+                scores[rows] = (r_rows * r_rows) / row_norms_sq[rows]
                 if exact:
                     loud[rows] = np.abs(r_rows) > tau_res
         if x_star is not None:
-            err_sq = float(np.sum((x - x_star) ** 2))
-        trace.records.append(TraceRecord(k, i, set_size, gamma_rec, err_sq, res_sq))
+            err_sq = _err_sq(x, x_star, err_buf)
+        records.append(TraceRecord(k, i, set_size, gamma_rec, err_sq, res_sq))
         if capture_iterates:
             iterates.append(x.copy())
 
-        reason = _stop_reason(err_sq, res_sq, x_star_norm_sq, b_norm_sq, config)
+        reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
         if reason is not None:
             trace.termination = reason
             break

@@ -103,6 +103,16 @@ class TestRateReport:
         assert report.grk_expectation_factor == pytest.approx(1 - 0.5 * (5 / 4 + 1) / 5)
         assert 0.0 <= report.igrk_factor <= report.grk_expectation_factor < 1.0
 
+    def test_rank_one_matrix_is_refused(self):
+        # sigma^2 = ||A||_F^2 = 12 exceeds the leave-one-out mass 10, where the
+        # pathwise factor 1 - sigma^2/gamma would read -0.2.
+        A = RowAccessMatrix([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        assert gamma_leaveout(A) == 10.0
+        with pytest.raises(ValueError, match="sigma_min_sq <= gamma < frob_sq"):
+            rate_report(A)
+        with pytest.raises(ValueError, match="sigma_min_sq <= gamma < frob_sq"):
+            grk_bounds(smallest_nonzero_singular_value(A) ** 2, A.frobenius_sq, 10.0, k=2)
+
     def test_bound_curve(self):
         report = rate_report(DIAG)
         bounds = [grk_bounds(report.sigma_min_sq, report.frob_sq, report.gamma_leaveout, k)

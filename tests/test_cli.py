@@ -159,6 +159,33 @@ def test_bound_reports_constants(capsys):
     assert report["complexity"]["K2"] <= report["complexity"]["K1"]
 
 
+def test_bound_refuses_rate_factors_of_a_rank_one_matrix(tmp_path, capsys):
+    path = tmp_path / "rank1.mtx"
+    scipy.io.mmwrite(str(path), np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]))
+    assert main(["bound", "--matrix", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["rate"]) == {"error"}
+    assert "sigma_min_sq <= gamma < frob_sq" in report["rate"]["error"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "-1"], "epsilon must be finite and positive"),
+    (["--epsilon", "0"], "epsilon must be finite and positive"),
+    (["--epsilon", "nan"], "epsilon must be finite and positive"),
+    (["--epsilon", "inf"], "epsilon must be finite and positive"),
+    (["--rho", "nan"], "rho must lie in (0, 1)"),
+    (["--rho", "1"], "rho must lie in (0, 1)"),
+    (["--rho", "0"], "rho must lie in (0, 1)"),
+])
+def test_bound_flags_are_usage_errors(flags, message, capsys, monkeypatch):
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "load_problem", no_problem)
+    assert main(["bound", "--m", "30", "--n", "6"] + flags) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_certify_round_trip(tmp_path, capsys):
     prefix = tmp_path / "c"
     main(["gen", "--m", "30", "--n", "6", "--seed", "8", "--out", str(prefix)])

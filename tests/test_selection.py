@@ -84,8 +84,10 @@ class TestGreedySet:
 
     def test_gamma_below_active_mass_raises_typed_error(self):
         # Scores are [1, 8] and ||r||^2 = 17: with gamma = 1 no row reaches 17.
-        with pytest.raises(GreedyCertificateError, match="certificate"):
-            select(DIAG, [-1.0, -4.0], gamma=1.0)
+        # At theta = 0 the threshold is 17 itself, and only the best row is kept.
+        for theta in (0.0, 0.5, 1.0):
+            with pytest.raises(GreedyCertificateError, match="certificate"):
+                select(DIAG, [-1.0, -4.0], gamma=1.0, theta=theta)
 
     def test_overflowing_residual_raises_typed_error(self):
         # Each r_i^2 is finite but ||r||^2 overflows, as in a diverging run.

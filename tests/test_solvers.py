@@ -14,6 +14,7 @@ from kaczmarz.linalg import (
     smallest_nonzero_singular_value,
 )
 from kaczmarz.solvers import (
+    _RK_BLOCK,
     SolverConfig,
     SolverVariant,
     kaczmarz_step,
@@ -341,7 +342,9 @@ class TestGammaModeOrdering:
 
 
 def reference_row_action(problem, variant, seed, max_iters, rse_tol):
-    """rk/cyclic as a loop that keeps the full residual r = Ax - b by rank-1 updates."""
+    """rk/cyclic as a loop that keeps the full residual r = Ax - b by rank-1 updates.
+
+    rk draws one ``rng.random()`` per step."""
     A, b, x_star = problem.A, problem.b, problem.x_star
     m, n = A.shape
     rng = np.random.default_rng(seed)
@@ -362,6 +365,21 @@ def reference_row_action(problem, variant, seed, max_iters, rse_tol):
         if np.sum((x - x_star) ** 2) / (x_star @ x_star) <= rse_tol:
             break
     return selections, x
+
+
+@pytest.mark.parametrize("variant, beta", [("cyclic", 0.0), ("rk", 0.0), ("grk", 0.0),
+                                           ("mgrk", 0.4)])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_err_sq_is_bitwise_numpy_sum_of_squares(variant, beta, storage):
+    problem = (random_problem(60, 10, seed=34, kappa=3.0) if storage == "dense"
+               else sparse_problem(60, 10, seed=35))
+    trace = run(problem, SolverConfig(variant=variant, beta=beta, seed=5, max_iters=400),
+                capture_iterates=True)
+    x_star = problem.x_star
+    assert trace.initial_err_sq == float(np.sum((trace.iterates[0] - x_star) ** 2))
+    assert len(trace.iterates) == trace.iterations + 1 > 30
+    for rec, x in zip(trace.records, trace.iterates[1:]):
+        assert rec.err_sq == float(np.sum((x - x_star) ** 2))
 
 
 def sparse_problem(m, n, seed):
@@ -386,6 +404,27 @@ class TestResidualFreePath:
         assert trace.termination == "rse_tol"
         assert trace.selections() == selections
         assert np.linalg.norm(trace.final_x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_block_draws_cross_blocks_and_stop_mid_block(self):
+        problem = random_problem(80, 12, seed=30, kappa=20.0)
+        trace = run(problem, SolverConfig(variant="rk", seed=7, max_iters=20_000, rse_tol=1e-12))
+        selections, x_ref = reference_row_action(problem, "rk", 7, 20_000, 1e-12)
+        assert trace.termination == "rse_tol"
+        assert trace.iterations > 3 * _RK_BLOCK and trace.iterations % _RK_BLOCK != 0
+        assert trace.selections() == selections
+        assert np.linalg.norm(trace.final_x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("max_iters", [1, _RK_BLOCK - 1, _RK_BLOCK, _RK_BLOCK + 1])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_block_draws_up_to_max_iters(self, max_iters, storage):
+        problem = (random_problem(80, 12, seed=30, kappa=20.0) if storage == "dense"
+                   else sparse_problem(80, 12, seed=31))
+        trace = run(problem, SolverConfig(variant="rk", seed=11, max_iters=max_iters,
+                                          rse_tol=1e-300))
+        selections, _ = reference_row_action(problem, "rk", 11, max_iters, 1e-300)
+        assert trace.termination == "max_iters"
+        assert trace.iterations == max_iters
+        assert trace.selections() == selections
 
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
     def test_records_carry_no_residual(self, variant):
