@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import RowAccessMatrix, smallest_nonzero_singular_value
 from .solvers import Trace
 
@@ -172,8 +174,13 @@ def _check_momentum_hypotheses(alpha: float, beta: float) -> None:
 
 def _taus(alpha: float, sigma_min_sq: float, frob_sq: float) -> tuple[float, float, float]:
     """The ratio sigma^2/frob and the momentum constants
-    tau1 = 4 - 3 alpha sigma^2/frob and tau2 = (2 alpha - alpha^2) sigma^2/frob."""
+    tau1 = 4 - 3 alpha sigma^2/frob and tau2 = (2 alpha - alpha^2) sigma^2/frob.
+
+    sigma^2 <= ||A||_F^2 holds for every matrix, so a larger sigma^2 comes from
+    rounding or bad input and is refused."""
     _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=frob_sq)
+    if sigma_min_sq > frob_sq:
+        raise ValueError(f"need sigma_min_sq <= frob_sq, got {sigma_min_sq}, {frob_sq}")
     ratio = sigma_min_sq / frob_sq
     return ratio, 4.0 - 3.0 * alpha * ratio, (2.0 * alpha - alpha**2) * ratio
 
@@ -265,30 +272,26 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     alpha outside (0, 2) without momentum or (0, 1 + beta) with it, and an
     infeasible momentum envelope, naming ``beta_upper`` when alpha <= 1.
     """
-    if trace.initial_err_sq is None:
+    if trace.initial_err_sq is None or trace.err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
     alpha, beta = trace.config.alpha, trace.config.beta
     _check_momentum_hypotheses(alpha, beta)
     _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=trace.frobenius_sq)
     err0 = trace.initial_err_sq
     slack = CERT_SLACK_SCALE * err0
+    # Both bounds rest on greedy selection; rk and cyclic record no gamma.
+    if trace.gamma is None:
+        raise ValueError("trace has no gamma; certification applies to greedy traces only")
+    errs = trace.err_sq
+    checked = len(errs)
 
     if beta == 0.0:
-        rate = alpha * (2.0 - alpha)
-        prev = err0
-        for rec in trace.records:
-            if rec.err_sq is None:
-                raise ValueError(f"record {rec.k} is missing the error metric")
-            if rec.gamma is None:
-                raise ValueError(
-                    f"record {rec.k} has no gamma; per-step certification "
-                    "applies to greedy traces only"
-                )
-            bound = (1.0 - rate * sigma_min_sq / rec.gamma) * prev + slack
-            if rec.err_sq > bound:
-                return CertificationResult(False, rec.k, len(trace.records), "per_step")
-            prev = rec.err_sq
-        return CertificationResult(True, None, len(trace.records), "per_step")
+        # The scalar bound's operations, in its order, on every step at once.
+        prev = np.concatenate(([err0], errs[:-1]))
+        bound = (1.0 - alpha * (2.0 - alpha) * sigma_min_sq / trace.gamma) * prev + slack
+        violated = np.flatnonzero(errs > bound)
+        first = violated.item(0) if violated.size else None
+        return CertificationResult(first is None, first, checked, "per_step")
 
     report = momentum_factors(alpha, beta, sigma_min_sq, trace.frobenius_sq)
     if not report.feasible:
@@ -297,9 +300,7 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
         if report.beta_upper is not None:
             reason += f"; beta = {beta} is not below beta_upper = {report.beta_upper:.6g}"
         raise ValueError(reason)
-    for rec in trace.records:
-        if rec.err_sq is None:
-            raise ValueError(f"record {rec.k} is missing the error metric")
-        if rec.err_sq > report.envelope(rec.k, err0) + slack:
-            return CertificationResult(False, rec.k, len(trace.records), "envelope")
-    return CertificationResult(True, None, len(trace.records), "envelope")
+    for k, err in enumerate(errs.tolist()):
+        if err > report.envelope(k, err0) + slack:
+            return CertificationResult(False, k, checked, "envelope")
+    return CertificationResult(True, None, checked, "envelope")

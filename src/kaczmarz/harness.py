@@ -15,6 +15,7 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -251,8 +252,10 @@ def _problem_summary(spec: ExperimentSpec, problem: Problem) -> dict:
 def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> ExperimentResult:
     """Run every configured method for ``spec.trials`` independent solves.
 
-    Trial t of a method uses seed ``config.seed + t`` on the shared problem.
-    Trials that stop on the iteration cap are kept and counted, never
+    Trial t of a method uses seed ``config.seed + t`` on the shared problem;
+    one ``run(problem, config, trials=spec.trials)`` call runs a method's
+    trials, and each trial's ``seconds`` is that call's time divided by the
+    trials.  Trials that stop on the iteration cap are kept and counted, never
     dropped.  With ``certify=True`` each trace is checked against its bound
     (skipped, reported as None, when the matrix is too large for the dense
     sigma_min oracle).  A trace whose bound's hypotheses fail (``rk``, α
@@ -269,14 +272,10 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
     methods = []
     for label, config in spec.methods:
         trials = []
-        hit_cap = 0
-        for t in range(spec.trials):
-            cfg = replace(config, seed=config.seed + t)
-            tic = time.perf_counter()
-            trace = run(problem, cfg)
-            seconds = time.perf_counter() - tic
-            if trace.termination == "max_iters":
-                hit_cap += 1
+        tic = time.perf_counter()
+        traces = run(problem, config, trials=spec.trials)
+        seconds = (time.perf_counter() - tic) / spec.trials
+        for t, trace in enumerate(traces):
             certified = refusal = None
             if sigma_min_sq is not None:
                 try:
@@ -285,7 +284,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
                     refusal = str(exc)
             trials.append(TrialResult(
                 trial=t,
-                seed=cfg.seed,
+                seed=trace.config.seed,
                 iters=trace.iterations,
                 seconds=seconds,
                 final_rse=trace.final_rse(),
@@ -297,9 +296,9 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None) -> Expe
         methods.append(MethodResult(
             label=label,
             mean_iters=float(np.mean([t.iters for t in trials])),
-            mean_seconds=float(np.mean([t.seconds for t in trials])),
+            mean_seconds=seconds,
             trials=trials,
-            hit_max_iters=hit_cap,
+            hit_max_iters=sum(t.termination == "max_iters" for t in trials),
         ))
     return ExperimentResult(problem=_problem_summary(spec, problem),
                             trials=spec.trials, methods=methods)
@@ -349,46 +348,46 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 
 TRACE_COLUMNS = list(TraceRecord._fields)
 # The Trace fields on the metadata line beside the SolverConfig fields: all
-# but the records (the rows), the config itself and the arrays.
+# but the step arrays (the columns), the config itself and the iterates.
 _TRACE_METADATA = [f.name for f in fields(Trace)
-                   if f.name not in ("records", "config", "final_x", "iterates")]
-
-
-def _field(text: str):
-    """A trace-CSV field back to its value: empty is None, integers stay int."""
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+                   if f.name not in ("config", "final_x", "iterates", *TRACE_COLUMNS)]
 
 
 def write_trace_csv(trace: Trace, path) -> Path:
     """Per-iteration trace CSV with a JSON metadata comment on line one.
 
-    The columns are the ``TraceRecord`` fields.  Values a record does not
-    carry (``err_sq`` without x*, ``res_sq`` where the run kept no full
+    The columns are the ``TraceRecord`` fields.  Values a trace does not
+    record (``err_sq`` without x*, ``res_sq`` where the run kept no full
     residual, ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
     """
     meta = {
         **asdict(replace(trace.config, gamma_mode=trace.config.resolved_gamma_mode())),
         **{name: getattr(trace, name) for name in _TRACE_METADATA},
     }
+    steps = (getattr(trace, name) for name in TRACE_COLUMNS[1:])
+    columns = [range(trace.iterations), *(repeat("") if s is None else s.tolist() for s in steps)]
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write("# " + json.dumps(meta) + "\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow(["" if value is None else value for value in rec])
+        writer.writerows(zip(*columns))
     return path
+
+
+def _column(texts: tuple[str, ...], parse) -> np.ndarray | None:
+    """A trace-CSV column back to its step array; None when no row has a value."""
+    if texts and not any(texts):
+        return None
+    return np.array([parse(text) for text in texts],
+                    dtype=np.int64 if parse is int else np.float64)
 
 
 def read_trace_csv(path) -> Trace:
     """Rebuild a trace from ``write_trace_csv`` output.
 
-    The records equal the written ones; iterates and ``final_x`` are not
+    The step arrays equal the written ones; a column empty in every row is
+    a metric the run did not record, None.  Iterates and ``final_x`` are not
     stored in the file.
     """
     path = Path(path)
@@ -397,11 +396,14 @@ def read_trace_csv(path) -> Trace:
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing metadata line")
         meta = json.loads(first[1:].strip())
-        reader = csv.DictReader(fh)
-        records = [TraceRecord(*(_field(row[name]) for name in TRACE_COLUMNS))
-                   for row in reader]
+        reader = csv.reader(fh)
+        if next(reader, None) != TRACE_COLUMNS:
+            raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
+        columns = list(zip(*reader)) or [()] * len(TRACE_COLUMNS)
+    steps = {name: _column(texts, int if name in ("index", "set_size") else float)
+             for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
     # Older files may lack some SolverConfig fields (defaults apply) or carry
     # keys that are no longer stored (ignored).
     config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})
-    return Trace(records=records, final_x=None, config=config,
+    return Trace(final_x=None, config=config, **steps,
                  **{name: meta[name] for name in _TRACE_METADATA})

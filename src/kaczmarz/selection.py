@@ -56,19 +56,29 @@ def active_set_gamma(
     Exact mode sums ``||a_i||^2`` over the rows in the boolean mask ``loud``,
     the caller's floating-point stand-in for "residual is nonzero" (the
     solver uses ``|r_i| > 1e-14 * max(1, ||b||_inf)``); an empty mask gives
-    0.0.  Last-row mode needs ``last_index`` from the previous iteration
-    (``None`` means the first iteration, where the full Frobenius mass
-    applies).  Only exact mode reads ``loud``.
+    0.0, and anything but a boolean array of length m raises ``ValueError``.
+    Last-row mode needs ``last_index`` from the previous iteration (``None``
+    means the first iteration, where the full Frobenius mass applies).  It
+    subtracts the row's mass from ||A||_F^2, unless the row holds more than
+    half of it, where the difference would cancel and the other rows are
+    summed instead.  Only exact mode reads ``loud``.
     """
     if type(mode) is not GammaMode:
         mode = GammaMode(mode)
     if mode is GammaMode.EXACT:
-        if loud is None or len(loud) != A.m:
-            raise ValueError(f"exact mode needs a row mask of length {A.m}")
+        if not (isinstance(loud, np.ndarray) and loud.dtype.kind == "b"
+                and loud.shape == (A.m,)):
+            raise ValueError(f"exact mode needs a boolean row mask of length {A.m}")
         return float(np.add.reduce(A.row_norms_sq[loud]))
     gamma = A.frobenius_sq
     if mode is GammaMode.LAST_ROW and last_index is not None:
-        gamma -= A.row_norms_sq.item(last_index)
+        norm = A.row_norms_sq.item(last_index)
+        if norm <= 0.5 * gamma:
+            gamma -= norm
+        else:
+            # The difference would cancel; at most one row holds this much.
+            rest = A.row_norms_sq
+            gamma = np.add.reduce(rest[:last_index]) + np.add.reduce(rest[last_index + 1:])
     return float(gamma)
 
 

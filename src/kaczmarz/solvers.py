@@ -9,8 +9,9 @@ mutable state (iterates, residual, generator, trace) is per-run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import count, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,10 @@ _IMAGE_CACHE_BYTES = 64_000_000
 # rk draws its uniforms this many at a time; a block is the same stream as
 # that many single draws, so the selections do not depend on it.
 _RK_BLOCK = 1024
+
+# Trials of a residual-free run step in lockstep from this many on; below it
+# the block's fixed cost per step outweighs what it saves.
+_LOCKSTEP_TRIALS = 3
 
 
 class SolverVariant(str, Enum):
@@ -121,7 +126,14 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class Trace:
-    """Per-iteration records plus the run's initial metrics and outcome.
+    """Per-step metric arrays plus the run's initial metrics and outcome.
+
+    Step k's metrics are ``index[k]``, ``set_size[k]``, ``gamma[k]``,
+    ``err_sq[k]`` and ``res_sq[k]``, named as the ``TraceRecord`` fields.  A
+    metric the run does not record is None for the whole run: ``set_size`` and
+    ``gamma`` for rk and cyclic, ``err_sq`` without x*, ``res_sq`` where the
+    run keeps no full residual.  ``records`` builds the ``TraceRecord`` list
+    from the arrays each time it is read.
 
     ``termination`` is ``rse_tol`` (error below ``config.rse_tol``),
     ``residual_tol`` (no x*, residual below ``config.rse_tol``), ``converged``,
@@ -132,7 +144,6 @@ class Trace:
     mean level ||r||^2/gamma, which sums only over the rows above it.
     """
 
-    records: list[TraceRecord]
     termination: str
     initial_err_sq: float | None
     initial_res_sq: float
@@ -140,28 +151,39 @@ class Trace:
     config: SolverConfig
     frobenius_sq: float
     x_star_norm_sq: float | None
+    index: np.ndarray
+    set_size: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    err_sq: np.ndarray | None = None
+    res_sq: np.ndarray | None = None
     iterates: list[np.ndarray] | None = None
 
     @property
+    def records(self) -> list[TraceRecord]:
+        columns = [repeat(None) if col is None else col.tolist()
+                   for col in (self.index, self.set_size, self.gamma, self.err_sq, self.res_sq)]
+        return list(starmap(TraceRecord, zip(count(), *columns)))
+
+    @property
     def iterations(self) -> int:
-        return len(self.records)
+        return len(self.index)
 
     def final_rse(self) -> float | None:
         """Relative solution error of the last iterate, if x* is known."""
         if self.initial_err_sq is None or self.x_star_norm_sq is None:
             return None
-        err = self.records[-1].err_sq if self.records else self.initial_err_sq
+        err = self.err_sq.item(-1) if self.iterations else self.initial_err_sq
         denom = self.x_star_norm_sq if self.x_star_norm_sq > 0.0 else 1.0
         return float(err) / denom
 
     def err_history(self) -> np.ndarray:
         """Squared errors [initial, after step 0, after step 1, ...]."""
-        if self.initial_err_sq is None:
+        if self.initial_err_sq is None or self.err_sq is None:
             raise ValueError("trace has no error metric (x* was unknown)")
-        return np.array([self.initial_err_sq] + [rec.err_sq for rec in self.records])
+        return np.concatenate(([self.initial_err_sq], self.err_sq))
 
     def selections(self) -> list[int]:
-        return [rec.index for rec in self.records]
+        return self.index.tolist()
 
 
 def kaczmarz_step(
@@ -240,6 +262,48 @@ def _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol) -> str | None:
     return "residual_tol" if res_sq / res_denom <= rse_tol else None
 
 
+class _Start(NamedTuple):
+    """A run's first iterate, its metrics and the relative-metric denominators."""
+
+    x: np.ndarray
+    r: np.ndarray
+    err_sq: float | None
+    res_sq: float
+    x_star_norm_sq: float | None
+    err_denom: float
+    res_denom: float
+    reason: str | None  # why the run stops before its first step, if it does
+
+
+def _start(problem: Problem, config: SolverConfig, x0) -> _Start:
+    A, b, x_star = problem.A, problem.b, problem.x_star
+    x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
+    r = A.matvec(x) - b
+    x_star_norm_sq = float(x_star @ x_star) if x_star is not None else None
+    err_sq = _err_sq(x, x_star, np.empty(A.n)) if x_star is not None else None
+    res_sq = float(r @ r)
+    b_norm_sq = float(b @ b)
+    # Relative-metric denominators, 1 for a zero x* or b.
+    err_denom = x_star_norm_sq if x_star is not None and x_star_norm_sq > 0.0 else 1.0
+    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
+    reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, config.rse_tol)
+    return _Start(x, r, err_sq, res_sq, x_star_norm_sq, err_denom, res_denom, reason)
+
+
+def _trace(problem, config, start, termination, final_x, iterates, index,
+           set_size=None, gamma=None, err_sq=None, res_sq=None) -> Trace:
+    """The trace of a finished run; each step metric is a list, an array or None."""
+    def column(values, dtype):
+        return None if values is None else np.asarray(values, dtype=dtype)
+
+    return Trace(termination=termination, initial_err_sq=start.err_sq,
+                 initial_res_sq=start.res_sq, final_x=final_x, config=config,
+                 frobenius_sq=problem.A.frobenius_sq, x_star_norm_sq=start.x_star_norm_sq,
+                 index=column(index, np.int64), set_size=column(set_size, np.int64),
+                 gamma=column(gamma, np.float64), err_sq=column(err_sq, np.float64),
+                 res_sq=column(res_sq, np.float64), iterates=iterates)
+
+
 # A diverging run ends "nonfinite"; numpy need not also warn about it.
 @np.errstate(over="ignore", invalid="ignore")
 def run(
@@ -247,7 +311,8 @@ def run(
     config: SolverConfig,
     x0: np.ndarray | None = None,
     capture_iterates: bool = False,
-) -> Trace:
+    trials: int | None = None,
+) -> Trace | list[Trace]:
     """Drive one solver run to a stopping rule and record its trace.
 
     Starts from zero unless ``x0`` is given; an ``x0`` of the wrong length
@@ -259,9 +324,20 @@ def run(
     ``np.sum((x - x_star) ** 2)`` of the iterate it follows, computed in a
     buffer kept for the run.
 
+    With ``trials=T`` it returns the T traces of seeds ``config.seed + t``,
+    each equal bit for bit to a separate ``run`` with that seed.  When the run
+    keeps no residual (``rk`` or ``cyclic`` with x* known) and T is at least
+    ``_LOCKSTEP_TRIALS``, the trials step in lockstep on a (T, n) block of
+    iterates: one batched ``np.matmul`` of the gathered rows gives every
+    trial's dot product, evaluated pair by pair as ``a_i @ x`` is, one axpy
+    updates the block, and one row-wise ``np.add.reduce`` gives every
+    ``err_sq``.  CSR rows step each trial with ``kaczmarz_step``.  A trial
+    leaves the block when it stops.  Greedy variants, runs without x* and
+    fewer trials run one trial after another.
+
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
-    its own row and records ``res_sq=None``.  ``rk`` draws its uniforms
+    its own row and records no ``res_sq``.  ``rk`` draws its uniforms
     ``_RK_BLOCK`` at a time and maps a block to rows in one search; a block
     is the same stream as that many single draws, so the selections are
     those of one ``rng.random()`` per step.
@@ -274,6 +350,19 @@ def run(
     proves some row is above tau.  Row images are cached up to
     ``_IMAGE_CACHE_BYTES`` of rows and values.
     """
+    if trials is None:
+        return _run(problem, config, x0, capture_iterates)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    configs = [replace(config, seed=config.seed + t) for t in range(trials)]
+    if (trials >= _LOCKSTEP_TRIALS and problem.x_star is not None
+            and config.variant in (SolverVariant.RK, SolverVariant.CYCLIC)):
+        return _run_lockstep(problem, configs, x0, capture_iterates)
+    return [_run(problem, cfg, x0, capture_iterates) for cfg in configs]
+
+
+def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> Trace:
+    """One run, one step after another; see ``run``."""
     A, b = problem.A, problem.b
     m, n = A.shape
     variant = config.variant
@@ -281,42 +370,15 @@ def run(
     alpha, beta, theta = config.alpha, config.beta, config.theta
     rng = np.random.default_rng(config.seed)
 
-    x = np.zeros(n) if x0 is None else _as_vector(x0, n, "x0")
-    r = A.matvec(x) - b
-
+    start = _start(problem, config, x0)
+    x, r, err_sq, res_sq = start.x, start.r, start.err_sq, start.res_sq
     x_star = problem.x_star
-    x_star_norm_sq = float(x_star @ x_star) if x_star is not None else None
-    b_norm_sq = float(b @ b)
     b_inf = float(np.max(np.abs(b))) if m else 0.0
     # Floating-point test for "this residual entry is zero".
     tau_res = 1e-14 * max(1.0, b_inf)
-
     err_buf = np.empty(n)
-    err_sq = _err_sq(x, x_star, err_buf) if x_star is not None else None
-    res_sq = float(r @ r)
     iterates = [x.copy()] if capture_iterates else None
-
-    trace = Trace(
-        records=[],
-        termination="max_iters",
-        initial_err_sq=err_sq,
-        initial_res_sq=res_sq,
-        final_x=None,
-        config=config,
-        frobenius_sq=A.frobenius_sq,
-        x_star_norm_sq=x_star_norm_sq,
-        iterates=iterates,
-    )
-
-    # Relative-metric denominators, 1 for a zero x* or b.
-    err_denom = x_star_norm_sq if x_star is not None and x_star_norm_sq > 0.0 else 1.0
-    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-    rse_tol = config.rse_tol
-    reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
-    if reason is not None:
-        trace.termination = reason
-        trace.final_x = x.copy()
-        return trace
+    err_denom, res_denom, rse_tol = start.err_denom, start.res_denom, config.rse_tol
 
     greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
     needs_residual = greedy or x_star is None
@@ -331,7 +393,8 @@ def run(
         rk_total = rk_cdf[-1]
     prob_rule = config.prob_rule
     row_norms_sq = A.row_norms_sq
-    records = trace.records
+    # The step metrics, one entry per step.
+    index, set_sizes, gammas, errs, ress = [], [], [], [], []
     image_cache: dict[int, tuple[np.ndarray | slice, np.ndarray]] = {}
     cache_bytes = 0
     last_index = None
@@ -343,9 +406,9 @@ def run(
     scores = loud = None
     stale = True
 
-    for k in range(config.max_iters):
-        set_size = gamma_rec = None
-
+    termination = start.reason or "max_iters"
+    # A run that stops at its first iterate takes no step.
+    for k in range(config.max_iters if start.reason is None else 0):
         if greedy:
             if stale:
                 scores = (r * r) / row_norms_sq
@@ -359,7 +422,7 @@ def run(
             else:
                 quiet = res_sq <= loud_floor and not np.any(np.abs(r) > tau_res)
             if quiet:
-                trace.termination = "converged"
+                termination = "converged"
                 break
             try:
                 indices = greedy_set(A, scores, res_sq, gamma, theta)
@@ -367,11 +430,12 @@ def run(
                 # Only the rounding floor gets here: see ``Trace``.
                 if not exact:
                     raise
-                trace.termination = "converged"
+                termination = "converged"
                 break
             probs = sampling_distribution(r, indices, prob_rule)
             i = indices.item(sample_index(probs, rng))
-            set_size, gamma_rec = len(indices), gamma
+            set_sizes.append(len(indices))
+            gammas.append(gamma)
         elif rk:
             j = k % _RK_BLOCK
             if j == 0:
@@ -395,6 +459,7 @@ def run(
         x_prev, x = x, x_new
         r_prev, r = r, r_new
         last_index = i
+        index.append(i)
 
         if needs_residual:
             refresh = (k + 1) % REFRESH_EVERY == 0
@@ -403,6 +468,7 @@ def run(
                 if beta != 0.0:
                     r_prev = A.matvec(x_prev) - b
             res_sq = float(r @ r)
+            ress.append(res_sq)
             stale = refresh or beta != 0.0
             if greedy and not stale:
                 rows = image[0]
@@ -412,14 +478,109 @@ def run(
                     loud[rows] = np.abs(r_rows) > tau_res
         if x_star is not None:
             err_sq = _err_sq(x, x_star, err_buf)
-        records.append(TraceRecord(k, i, set_size, gamma_rec, err_sq, res_sq))
+            errs.append(err_sq)
         if capture_iterates:
             iterates.append(x.copy())
 
         reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
         if reason is not None:
-            trace.termination = reason
+            termination = reason
             break
 
-    trace.final_x = x.copy()
-    return trace
+    return _trace(problem, config, start, termination, x.copy(), iterates, index,
+                  set_sizes if greedy else None, gammas if greedy else None,
+                  errs if x_star is not None else None, ress if needs_residual else None)
+
+
+def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
+                  capture_iterates: bool) -> list[Trace]:
+    """Trials of one ``rk`` or ``cyclic`` run with x* known, stepped together;
+    row p of the block ``X`` is the iterate of trial ``live[p]``.  See ``run``."""
+    A, b, x_star = problem.A, problem.b, problem.x_star
+    config = configs[0]
+    m = A.m
+    trials = len(configs)
+    alpha, beta, rse_tol, max_iters = config.alpha, config.beta, config.rse_tol, config.max_iters
+    start = _start(problem, config, x0)
+    err_denom = start.err_denom
+    rk = config.variant is SolverVariant.RK
+    if rk:
+        rk_cdf = A.row_norms_sq.cumsum()
+        rk_total = rk_cdf[-1]
+    row_norms_sq = A.row_norms_sq
+    dense = None if A.is_sparse else A.to_dense()
+    rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
+    live = np.arange(trials)
+    X = np.tile(start.x, (trials, 1))
+    X_prev = X
+    buf = np.empty_like(X)
+    iterates = [[start.x.copy()] for _ in configs] if capture_iterates else None
+    # Chunks of up to _RK_BLOCK steps: the trials in the block when the chunk
+    # starts, and their rows and errors, one row of each per trial.  Row
+    # ``pos[p]`` of the current chunk belongs to block row p.
+    chunks = []
+    ends = {}  # trial -> (steps, termination, final iterate)
+
+    steps = max_iters if start.reason is None else 0
+    for k in range(steps):
+        j = k % _RK_BLOCK
+        if j == 0:
+            size = min(_RK_BLOCK, max_iters - k)
+            if rk:
+                u = np.stack([rngs[t].random(size) for t in live.tolist()])
+                picks = rk_cdf.searchsorted(u * rk_total, side="right")
+                np.minimum(picks, m - 1, out=picks)
+            else:
+                picks = np.tile(np.arange(k, k + size) % m, (len(live), 1))
+            errs = np.empty(picks.shape)
+            chunks.append((live, picks, errs))
+            pos = slice(None)
+        idx = picks[pos, j]
+
+        if dense is None:
+            X_next = X if beta == 0.0 else np.empty_like(X)
+            for p, i in enumerate(idx.tolist()):
+                X_next[p] = kaczmarz_step(A, b, i, X[p], X_prev[p], alpha, beta)[0]
+        else:
+            # The scalar step's arithmetic, in its order, on every trial at once.
+            rows = dense.take(idx, axis=0)
+            coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
+            coeff /= row_norms_sq[idx]
+            X_next = X if beta == 0.0 else X + beta * (X - X_prev)
+            rows *= coeff[:, None]
+            X_next -= rows
+        X_prev, X = X, X_next
+
+        np.subtract(X, x_star, out=buf)
+        np.multiply(buf, buf, out=buf)
+        err = np.add.reduce(buf, axis=1)
+        errs[pos, j] = err
+        if capture_iterates:
+            for t, x in zip(live.tolist(), X):
+                iterates[t].append(x.copy())
+
+        # Division by err_denom is monotone, so the smallest error decides
+        # whether any trial is below the tolerance; NaN fails the test too.
+        if (np.minimum.reduce(err) / err_denom > rse_tol
+                and np.maximum.reduce(err) < math.inf):
+            continue
+        reasons = [_stop_reason(e, None, err_denom, None, rse_tol) for e in err.tolist()]
+        keep = np.array([reason is None for reason in reasons])
+        for p in np.flatnonzero(~keep).tolist():
+            ends[live.item(p)] = (k + 1, reasons[p], X[p].copy())
+        if not keep.any():
+            break
+        live, X, X_prev, buf = live[keep], X[keep], X_prev[keep], buf[keep]
+        pos = np.flatnonzero(keep) if type(pos) is slice else pos[keep]
+
+    for p, t in enumerate(live.tolist()):
+        ends.setdefault(t, (steps, start.reason or "max_iters", X[p].copy()))
+    traces = []
+    for t, cfg in enumerate(configs):
+        k, termination, x = ends[t]
+        own = [(picks[p], errs[p]) for members, picks, errs in chunks
+               for p in np.flatnonzero(members == t).tolist()]
+        index, err_sq = (np.concatenate(parts)[:k] for parts in zip(*own)) if own else ([], [])
+        traces.append(_trace(problem, cfg, start, termination, x,
+                             iterates[t] if capture_iterates else None, index, err_sq=err_sq))
+    return traces

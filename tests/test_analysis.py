@@ -157,6 +157,21 @@ class TestMomentumFactors:
             momentum_factors(1.2, 0.1, 1.0, 5.0)  # alpha must be < 1 + beta
         momentum_factors(1.05, 0.1, 1.0, 5.0)
 
+    def test_sigma_above_frobenius_is_refused(self):
+        # sigma^2 <= ||A||_F^2 always; here rounding gives 12.000000000000005 > 12,
+        # which read gamma1 = -4.4e-16 with feasible=True.
+        A = RowAccessMatrix([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        sigma_sq = smallest_nonzero_singular_value(A) ** 2
+        assert sigma_sq > A.frobenius_sq == 12.0
+        with pytest.raises(ValueError, match="sigma_min_sq <= frob_sq"):
+            momentum_factors(1.0, 0.0, sigma_sq, A.frobenius_sq)
+        with pytest.raises(ValueError, match="sigma_min_sq <= frob_sq"):
+            beta_upper(1.0, sigma_sq, A.frobenius_sq)
+        trace = run(Problem(A, [1.0, 1.0, 2.0], x_star=[0.5, 0.5]),
+                    SolverConfig(variant="mgrk", beta=0.1, seed=0))
+        with pytest.raises(ValueError, match="sigma_min_sq <= frob_sq"):
+            certify_trace(trace, sigma_sq)
+
     def test_sum_is_nondecreasing_in_beta(self):
         for alpha in (0.5, 1.0):
             for ratio in (0.05, 0.2):
@@ -250,8 +265,7 @@ class TestCertifyTrace:
         trace = run(problem, SolverConfig(variant="grk", seed=1, max_iters=50))
         sigma_sq = smallest_nonzero_singular_value(A) ** 2
         assert certify_trace(trace, sigma_sq).passed
-        bad = trace.records[3]._replace(err_sq=trace.initial_err_sq * 10.0)
-        trace.records[3] = bad
+        trace.err_sq[3] = trace.initial_err_sq * 10.0
         result = certify_trace(trace, sigma_sq)
         assert not result.passed
         assert result.first_violation == 3
@@ -262,11 +276,17 @@ class TestCertifyTrace:
         with pytest.raises(ValueError, match="error metric"):
             certify_trace(trace, sigma_min_sq=1.0)
 
-    def test_non_greedy_trace_rejected_for_per_step(self):
-        problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])
-        trace = run(problem, SolverConfig(variant="rk", seed=0))
-        with pytest.raises(ValueError, match="gamma"):
-            certify_trace(trace, sigma_min_sq=1.0)
+    # With momentum, a cyclic trace was held to the greedy momentum envelope and
+    # reported a violation instead of being refused.
+    @pytest.mark.parametrize("variant", ["rk", "cyclic"])
+    @pytest.mark.parametrize("beta", [0.0, 0.001])
+    def test_non_greedy_trace_rejected(self, variant, beta):
+        problem = gen_random_problem(RandomProblemSpec(m=100, n=5, r=5, kappa=1.5, seed=0))
+        trace = run(problem, SolverConfig(variant=variant, beta=beta, seed=0))
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        assert beta < beta_upper(1.0, sigma_sq, problem.A.frobenius_sq)
+        with pytest.raises(ValueError, match="no gamma"):
+            certify_trace(trace, sigma_sq)
 
     def test_infeasible_momentum_rejected(self):
         problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])

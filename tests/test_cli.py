@@ -166,6 +166,9 @@ def test_bound_refuses_rate_factors_of_a_rank_one_matrix(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report["rate"]) == {"error"}
     assert "sigma_min_sq <= gamma < frob_sq" in report["rate"]["error"]
+    # sigma^2 is computed as 12.000000000000005, above ||A||_F^2 = 12.
+    assert set(report["momentum"]) == {"error"}
+    assert "sigma_min_sq <= frob_sq" in report["momentum"]["error"]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kaczmarz import harness
 from kaczmarz.harness import (
     ExperimentSpec,
     RandomProblemSpec,
@@ -218,6 +219,28 @@ class TestExperiments:
         # Without certification nothing is refused.
         plain = run_experiment(self._spec(trials=1, methods=methods))
         assert all(m.trials[0].refusal is None for m in plain.methods)
+
+    def test_one_run_call_per_method(self, monkeypatch):
+        # A profiler patches harness.run to time solves, so the call goes through it.
+        calls = []
+
+        def counted(problem, config, trials):
+            calls.append((config.seed, trials))
+            return run(problem, config, trials=trials)
+
+        monkeypatch.setattr(harness, "run", counted)
+        methods = [("rk", SolverConfig(variant="rk", seed=9, max_iters=50_000)),
+                   ("grk", SolverConfig(variant="grk", seed=9, max_iters=20_000))]
+        result = run_experiment(self._spec(trials=4, certify=True, methods=methods))
+        assert calls == [(9, 4), (9, 4)]
+        problem = gen_random_problem(self._spec().source)
+        for meth, (_, config) in zip(result.methods, methods):
+            assert len({t.seconds for t in meth.trials}) == 1
+            assert meth.mean_seconds == meth.trials[0].seconds
+            for t in meth.trials:
+                trace = run(problem, replace(config, seed=t.seed))
+                assert (t.iters, t.termination, t.final_rse) == \
+                    (trace.iterations, trace.termination, trace.final_rse())
 
     def test_traces_kept_on_request(self):
         spec = self._spec(trials=2)

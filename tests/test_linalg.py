@@ -289,6 +289,10 @@ class TestSparseRowImage:
     # Ill-conditioned enough to run past the REFRESH_EVERY = 1000 residual refresh.
     @example(seed=0, m=15, n=10, density=0.3, mode_beta=("exact", 0.0), prob_rule="residual",
              with_x_star=False, max_iters=1500)
+    # A last row with nearly all of ||A||_F^2, where gamma once cancelled below the
+    # active-set mass and the run raised GreedyCertificateError.
+    @example(seed=344, m=2, n=10, density=0.25, mode_beta=("lastrow", 0.0),
+             prob_rule="residual", with_x_star=False, max_iters=300)
     def test_support_updates_equal_full_updates(self, seed, m, n, density, mode_beta,
                                                 prob_rule, with_x_star, max_iters):
         """Updating r and the selection state on the image's support only gives the

@@ -62,6 +62,23 @@ class TestActiveSetGamma:
         with pytest.raises(ValueError, match="mask"):
             active_set_gamma(DIAG, GammaMode.EXACT, np.ones(3, dtype=bool))
 
+    def test_exact_mode_refuses_an_integer_mask(self):
+        # An integer 0/1 array would index rows 1, 0 and 0 and give 6.0, not 1.0.
+        diag3 = RowAccessMatrix(np.diag([1.0, 2.0, 3.0]))
+        assert active_set_gamma(diag3, GammaMode.EXACT, np.array([True, False, False])) == 1.0
+        with pytest.raises(ValueError, match="boolean row mask"):
+            active_set_gamma(diag3, GammaMode.EXACT, np.array([1, 0, 0]))
+        with pytest.raises(ValueError, match="boolean row mask"):
+            active_set_gamma(diag3, GammaMode.EXACT, [True, False, False])
+
+    def test_last_row_mode_sums_the_rest_beside_a_dominant_row(self):
+        # 8.9e7 + 1.19 - 8.9e7 keeps only about 8 digits of 1.19.
+        A = RowAccessMatrix([[np.sqrt(8.9e7), 0.0], [0.0, np.sqrt(1.19)]])
+        assert A.frobenius_sq - A.row_norms_sq[0] != A.row_norms_sq[1]
+        assert active_set_gamma(A, GammaMode.LAST_ROW, last_index=0) == A.row_norms_sq[1]
+        assert active_set_gamma(A, GammaMode.LAST_ROW, last_index=1) == \
+            A.frobenius_sq - A.row_norms_sq[1]
+
 
 class TestGreedySet:
     def test_hand_threshold_selects_heavy_row(self):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,17 +7,22 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kaczmarz import solvers
 from kaczmarz.analysis import certify_trace
+from kaczmarz.harness import read_trace_csv, write_trace_csv
 from kaczmarz.linalg import (
     Problem,
     RowAccessMatrix,
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
+from kaczmarz.selection import GreedyCertificateError
 from kaczmarz.solvers import (
+    _LOCKSTEP_TRIALS,
     _RK_BLOCK,
     SolverConfig,
     SolverVariant,
+    Trace,
     kaczmarz_step,
     run,
 )
@@ -565,3 +571,137 @@ class TestRoundingFloor:
                                                 beta=beta, rse_tol=1e-300))
         assert trace.termination == "converged"
         assert trace.records[-1].res_sq <= 1e-20 * float(b @ b)
+
+
+def assert_same_run(trace, reference):
+    """Bit-equal runs: the records compare by repr, so NaN and the sign of zero count."""
+    assert trace.config == reference.config
+    assert trace.termination == reference.termination
+    assert repr(trace.records) == repr(reference.records)
+    assert (trace.initial_err_sq, trace.initial_res_sq) == \
+        (reference.initial_err_sq, reference.initial_res_sq)
+    assert np.array_equal(trace.final_x, reference.final_x, equal_nan=True)
+    assert (trace.iterates is None) == (reference.iterates is None)
+    if trace.iterates is not None:
+        assert len(trace.iterates) == len(reference.iterates) == trace.iterations + 1
+        assert all(np.array_equal(x, y, equal_nan=True)
+                   for x, y in zip(trace.iterates, reference.iterates))
+
+
+class TestTrials:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 8),
+           variant_beta=st.sampled_from([("rk", 0.0), ("rk", 0.3), ("cyclic", 0.0),
+                                         ("cyclic", 0.3), ("grk", 0.0), ("mgrk", 0.3)]),
+           storage=st.sampled_from(["dense", "csr"]), known=st.booleans(),
+           start=st.sampled_from(["zero", "random", "x_star"]), capture=st.booleans(),
+           max_iters=st.sampled_from([7, 3000]), trials=st.integers(1, 9))
+    def test_trials_equal_separate_runs(self, seed, m, n, variant_beta, storage, known, start,
+                                        capture, max_iters, trials):
+        variant, beta = variant_beta
+        problem = gaussian_problem(seed, m, n, known=known, sparsity=0.5)
+        if storage == "csr":
+            problem = Problem(RowAccessMatrix(sp.csr_array(problem.A.to_dense())), problem.b,
+                              x_star=problem.x_star)
+        x0 = {"zero": None,
+              "random": np.random.default_rng(seed).standard_normal(n),
+              "x_star": problem.x_star}[start]
+        config = SolverConfig(variant=variant, beta=beta, seed=seed, max_iters=max_iters)
+        traces = run(problem, config, x0=x0, capture_iterates=capture, trials=trials)
+        assert len(traces) == trials
+        for t, trace in enumerate(traces):
+            reference = run(problem, replace(config, seed=seed + t), x0=x0,
+                            capture_iterates=capture)
+            assert_same_run(trace, reference)
+
+    @pytest.mark.parametrize("block", [64, _RK_BLOCK])
+    @pytest.mark.parametrize("variant", ["rk", "cyclic"])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_trials_leave_the_block_across_chunks(self, monkeypatch, block, variant, storage):
+        # Trials stop at different steps, past the first chunk of draws; in chunks of
+        # 64 steps rk trials stop in different chunks, so later chunks draw for fewer.
+        monkeypatch.setattr(solvers, "_RK_BLOCK", block)
+        problem = random_problem(80, 12, seed=30, kappa=20.0)
+        if storage == "csr":
+            problem = Problem(RowAccessMatrix(sp.csr_array(problem.A.to_dense())), problem.b,
+                              x_star=problem.x_star)
+        config = SolverConfig(variant=variant, alpha=0.9, seed=7, max_iters=20_000)
+        traces = run(problem, config, capture_iterates=True, trials=6)
+        steps = [trace.iterations for trace in traces]
+        assert min(steps) > 2 * block
+        if variant == "rk" and block == 64:
+            assert len({k // block for k in steps}) > 1
+        for t, trace in enumerate(traces):
+            assert trace.termination == "rse_tol"
+            assert_same_run(trace, run(problem, replace(config, seed=7 + t),
+                                       capture_iterates=True))
+
+    def test_diverging_trials_end_nonfinite(self):
+        problem = random_problem(30, 6, seed=34, kappa=3.0)
+        config = SolverConfig(variant="rk", alpha=3.0, max_iters=100_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = run(problem, config, trials=4)
+        for t, trace in enumerate(traces):
+            assert trace.termination == "nonfinite"
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = run(problem, replace(config, seed=t))
+            assert_same_run(trace, reference)
+
+    @pytest.mark.parametrize("variant, known, lockstep", [
+        ("rk", True, True), ("cyclic", True, True), ("rk", False, False),
+        ("grk", True, False)])
+    def test_lockstep_from_the_cutoff(self, monkeypatch, variant, known, lockstep):
+        problem = random_problem(40, 8, seed=3, kappa=3.0)
+        problem = Problem(problem.A, problem.b, x_star=problem.x_star if known else None)
+        serial, one_trial = [], solvers._run
+
+        def counted(problem, config, *args):
+            serial.append(config.seed)
+            return one_trial(problem, config, *args)
+
+        monkeypatch.setattr(solvers, "_run", counted)
+        config = SolverConfig(variant=variant, seed=5, max_iters=500)
+        run(problem, config, trials=_LOCKSTEP_TRIALS - 1)
+        assert serial == [5, 6]
+        serial.clear()
+        assert len(run(problem, config, trials=_LOCKSTEP_TRIALS)) == _LOCKSTEP_TRIALS
+        assert serial == ([] if lockstep else [5, 6, 7])
+
+    def test_trials_must_be_positive(self):
+        with pytest.raises(ValueError, match="trials"):
+            run(DIAG_PROBLEM, SolverConfig(), trials=0)
+
+    def test_lockstep_traces_round_trip_and_refuse_certification(self, tmp_path,
+                                                                 monkeypatch):
+        problem = random_problem(60, 10, seed=4, kappa=3.0)
+        traces = run(problem, SolverConfig(variant="rk", seed=2, max_iters=4000), trials=4)
+        for t, trace in enumerate(traces):
+            assert trace.set_size is None and trace.gamma is None and trace.res_sq is None
+            loaded = read_trace_csv(write_trace_csv(trace, tmp_path / f"{t}.csv"))
+            assert repr(loaded.records) == repr(trace.records)
+            assert loaded.index.dtype == np.int64 and np.array_equal(loaded.index, trace.index)
+            assert np.array_equal(loaded.err_sq, trace.err_sq)
+        # The refusal comes from the missing gamma column, not from a built record.
+        monkeypatch.setattr(Trace, "records", property(lambda self: pytest.fail("records built")))
+        with pytest.raises(ValueError, match="no gamma"):
+            certify_trace(traces[0], smallest_nonzero_singular_value(problem.A) ** 2)
+
+
+def test_lastrow_gamma_of_a_dominant_row_keeps_its_certificate():
+    # ||A||_F^2 - ||a_0||^2 would cancel to a few 1e-9 below ||a_1||^2, under the
+    # active-set mass, so greedy_set's certificate failed for every seed.
+    mat = np.zeros((2, 10))
+    mat[0, [1, 4, 8]] = [3.0, -5.0, 2.0]
+    mat[1, [0, 4, 6]] = [0.7, 0.5, -0.6]
+    mat[0] *= np.sqrt(8.9e7 / (mat[0] @ mat[0]))
+    mat[1] *= np.sqrt(1.19 / (mat[1] @ mat[1]))
+    A = RowAccessMatrix(mat)
+    problem = Problem(A, A.matvec(np.random.default_rng(0).standard_normal(10)))
+    for rse_tol in (1e-12, 1e-30):
+        for seed in range(40):
+            try:
+                run(problem, SolverConfig(variant="grk", gamma_mode="lastrow", seed=seed,
+                                          rse_tol=rse_tol))
+            except GreedyCertificateError as exc:
+                pytest.fail(f"seed {seed}, rse_tol {rse_tol}: {exc}")
