@@ -30,7 +30,7 @@ from .linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from .solvers import SolverConfig, Trace, TraceRecord, run
+from .solvers import SolverConfig, SolverVariant, Trace, TraceRecord, run
 
 __all__ = [
     "RandomProblemSpec",
@@ -375,10 +375,8 @@ def write_trace_csv(trace: Trace, path) -> Path:
     return path
 
 
-def _column(texts: tuple[str, ...], parse) -> np.ndarray | None:
-    """A trace-CSV column back to its step array; None when no row has a value."""
-    if texts and not any(texts):
-        return None
+def _column(texts: tuple[str, ...], parse) -> np.ndarray:
+    """A trace-CSV column back to its step array."""
     return np.array([parse(text) for text in texts],
                     dtype=np.int64 if parse is int else np.float64)
 
@@ -386,9 +384,12 @@ def _column(texts: tuple[str, ...], parse) -> np.ndarray | None:
 def read_trace_csv(path) -> Trace:
     """Rebuild a trace from ``write_trace_csv`` output.
 
-    The step arrays equal the written ones; a column empty in every row is
-    a metric the run did not record, None.  Iterates and ``final_x`` are not
-    stored in the file.
+    The step arrays equal the written ones.  Which metrics the run recorded
+    follows from the metadata, as in ``run``, so a trace without steps comes
+    back with the same None columns: ``set_size`` and ``gamma`` for greedy
+    variants only, ``err_sq`` when x* was known, ``res_sq`` for greedy
+    variants or without x*.  Iterates and ``final_x`` are not stored in the
+    file.
     """
     path = Path(path)
     with path.open() as fh:
@@ -400,10 +401,15 @@ def read_trace_csv(path) -> Trace:
         if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
         columns = list(zip(*reader)) or [()] * len(TRACE_COLUMNS)
-    steps = {name: _column(texts, int if name in ("index", "set_size") else float)
-             for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
     # Older files may lack some SolverConfig fields (defaults apply) or carry
     # keys that are no longer stored (ignored).
     config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})
+    greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
+    known = meta["initial_err_sq"] is not None
+    recorded = {"index": True, "set_size": greedy, "gamma": greedy, "err_sq": known,
+                "res_sq": greedy or not known}
+    steps = {name: _column(texts, int if name in ("index", "set_size") else float)
+             if recorded[name] else None
+             for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
     return Trace(final_x=None, config=config, **steps,
                  **{name: meta[name] for name in _TRACE_METADATA})

@@ -326,14 +326,14 @@ def run(
 
     With ``trials=T`` it returns the T traces of seeds ``config.seed + t``,
     each equal bit for bit to a separate ``run`` with that seed.  When the run
-    keeps no residual (``rk`` or ``cyclic`` with x* known) and T is at least
-    ``_LOCKSTEP_TRIALS``, the trials step in lockstep on a (T, n) block of
-    iterates: one batched ``np.matmul`` of the gathered rows gives every
-    trial's dot product, evaluated pair by pair as ``a_i @ x`` is, one axpy
-    updates the block, and one row-wise ``np.add.reduce`` gives every
-    ``err_sq``.  CSR rows step each trial with ``kaczmarz_step``.  A trial
-    leaves the block when it stops.  Greedy variants, runs without x* and
-    fewer trials run one trial after another.
+    keeps no residual (``rk`` or ``cyclic`` with x* known) on a dense matrix
+    without momentum and T is at least ``_LOCKSTEP_TRIALS``, the trials step
+    in lockstep on a (T, n) block of iterates: one batched ``np.matmul`` of
+    the gathered rows gives every trial's dot product, evaluated pair by pair
+    as ``a_i @ x`` is, one axpy updates the block, and one row-wise
+    ``np.add.reduce`` gives every ``err_sq``.  A trial leaves the block when
+    it stops.  Every other run (greedy variants, runs without x*, CSR
+    matrices, momentum, fewer trials) runs one trial after another.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
@@ -356,7 +356,8 @@ def run(
         raise ValueError(f"trials must be at least 1, got {trials}")
     configs = [replace(config, seed=config.seed + t) for t in range(trials)]
     if (trials >= _LOCKSTEP_TRIALS and problem.x_star is not None
-            and config.variant in (SolverVariant.RK, SolverVariant.CYCLIC)):
+            and config.variant in (SolverVariant.RK, SolverVariant.CYCLIC)
+            and not problem.A.is_sparse and config.beta == 0.0):
         return _run_lockstep(problem, configs, x0, capture_iterates)
     return [_run(problem, cfg, x0, capture_iterates) for cfg in configs]
 
@@ -494,13 +495,14 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
 
 def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
                   capture_iterates: bool) -> list[Trace]:
-    """Trials of one ``rk`` or ``cyclic`` run with x* known, stepped together;
-    row p of the block ``X`` is the iterate of trial ``live[p]``.  See ``run``."""
+    """Trials of one dense ``rk`` or ``cyclic`` run with x* known and no
+    momentum, stepped together; row p of the block ``X`` is the iterate of
+    trial ``live[p]``.  See ``run``."""
     A, b, x_star = problem.A, problem.b, problem.x_star
     config = configs[0]
     m = A.m
     trials = len(configs)
-    alpha, beta, rse_tol, max_iters = config.alpha, config.beta, config.rse_tol, config.max_iters
+    alpha, rse_tol, max_iters = config.alpha, config.rse_tol, config.max_iters
     start = _start(problem, config, x0)
     err_denom = start.err_denom
     rk = config.variant is SolverVariant.RK
@@ -508,11 +510,10 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
         rk_cdf = A.row_norms_sq.cumsum()
         rk_total = rk_cdf[-1]
     row_norms_sq = A.row_norms_sq
-    dense = None if A.is_sparse else A.to_dense()
+    dense = A.to_dense()
     rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
     live = np.arange(trials)
     X = np.tile(start.x, (trials, 1))
-    X_prev = X
     buf = np.empty_like(X)
     iterates = [[start.x.copy()] for _ in configs] if capture_iterates else None
     # Chunks of up to _RK_BLOCK steps: the trials in the block when the chunk
@@ -537,19 +538,12 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
             pos = slice(None)
         idx = picks[pos, j]
 
-        if dense is None:
-            X_next = X if beta == 0.0 else np.empty_like(X)
-            for p, i in enumerate(idx.tolist()):
-                X_next[p] = kaczmarz_step(A, b, i, X[p], X_prev[p], alpha, beta)[0]
-        else:
-            # The scalar step's arithmetic, in its order, on every trial at once.
-            rows = dense.take(idx, axis=0)
-            coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
-            coeff /= row_norms_sq[idx]
-            X_next = X if beta == 0.0 else X + beta * (X - X_prev)
-            rows *= coeff[:, None]
-            X_next -= rows
-        X_prev, X = X, X_next
+        # The scalar step's arithmetic, in its order, on every trial at once.
+        rows = dense.take(idx, axis=0)
+        coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
+        coeff /= row_norms_sq[idx]
+        rows *= coeff[:, None]
+        X -= rows
 
         np.subtract(X, x_star, out=buf)
         np.multiply(buf, buf, out=buf)
@@ -570,7 +564,7 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
             ends[live.item(p)] = (k + 1, reasons[p], X[p].copy())
         if not keep.any():
             break
-        live, X, X_prev, buf = live[keep], X[keep], X_prev[keep], buf[keep]
+        live, X, buf = live[keep], X[keep], buf[keep]
         pos = np.flatnonzero(keep) if type(pos) is slice else pos[keep]
 
     for p, t in enumerate(live.tolist()):

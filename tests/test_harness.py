@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczmarz import harness
+from kaczmarz.analysis import certify_trace
 from kaczmarz.harness import (
     ExperimentSpec,
     RandomProblemSpec,
@@ -336,12 +337,27 @@ class TestEmission:
         assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
         assert loaded.records == trace.records
 
-    def test_header_only_trace_file(self, tmp_path):
-        problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])
-        trace = run(problem, SolverConfig(variant="grk"), x0=[1.0, 1.0])
+    @pytest.mark.parametrize("variant", ["cyclic", "rk", "grk", "mgrk"])
+    @pytest.mark.parametrize("known", [True, False])
+    def test_header_only_trace_file(self, tmp_path, variant, known):
+        # x0 = x* meets rse_tol before the first step.
+        problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0],
+                          x_star=[1.0, 1.0] if known else None)
+        trace = run(problem, SolverConfig(variant=variant), x0=[1.0, 1.0])
         assert trace.iterations == 0
         path = write_trace_csv(trace, tmp_path / "empty.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2  # metadata comment + column header
         loaded = read_trace_csv(path)
         assert loaded.records == []
+        # Each step column is None in the loaded trace just where it is in memory.
+        for name in ("index", "set_size", "gamma", "err_sq", "res_sq"):
+            assert (getattr(loaded, name) is None) == (getattr(trace, name) is None), name
+
+    def test_zero_step_rk_trace_refuses_certification_from_csv(self, tmp_path):
+        problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])
+        trace = run(problem, SolverConfig(variant="rk"), x0=[1.0, 1.0])
+        loaded = read_trace_csv(write_trace_csv(trace, tmp_path / "empty.csv"))
+        for t in (trace, loaded):
+            with pytest.raises(ValueError, match="no gamma"):
+                certify_trace(t, 1.0)

@@ -616,15 +616,11 @@ class TestTrials:
 
     @pytest.mark.parametrize("block", [64, _RK_BLOCK])
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
-    @pytest.mark.parametrize("storage", ["dense", "csr"])
-    def test_trials_leave_the_block_across_chunks(self, monkeypatch, block, variant, storage):
+    def test_trials_leave_the_block_across_chunks(self, monkeypatch, block, variant):
         # Trials stop at different steps, past the first chunk of draws; in chunks of
         # 64 steps rk trials stop in different chunks, so later chunks draw for fewer.
         monkeypatch.setattr(solvers, "_RK_BLOCK", block)
         problem = random_problem(80, 12, seed=30, kappa=20.0)
-        if storage == "csr":
-            problem = Problem(RowAccessMatrix(sp.csr_array(problem.A.to_dense())), problem.b,
-                              x_star=problem.x_star)
         config = SolverConfig(variant=variant, alpha=0.9, seed=7, max_iters=20_000)
         traces = run(problem, config, capture_iterates=True, trials=6)
         steps = [trace.iterations for trace in traces]
@@ -648,12 +644,16 @@ class TestTrials:
                 reference = run(problem, replace(config, seed=t))
             assert_same_run(trace, reference)
 
-    @pytest.mark.parametrize("variant, known, lockstep", [
-        ("rk", True, True), ("cyclic", True, True), ("rk", False, False),
-        ("grk", True, False)])
-    def test_lockstep_from_the_cutoff(self, monkeypatch, variant, known, lockstep):
+    @pytest.mark.parametrize("variant, known, storage, beta, lockstep", [
+        ("rk", True, "dense", 0.0, True), ("cyclic", True, "dense", 0.0, True),
+        ("rk", False, "dense", 0.0, False), ("grk", True, "dense", 0.0, False),
+        ("rk", True, "csr", 0.0, False), ("cyclic", True, "dense", 0.3, False)])
+    def test_lockstep_from_the_cutoff(self, monkeypatch, variant, known, storage, beta,
+                                      lockstep):
+        # Only dense rk and cyclic runs with x* known and no momentum step in lockstep.
         problem = random_problem(40, 8, seed=3, kappa=3.0)
-        problem = Problem(problem.A, problem.b, x_star=problem.x_star if known else None)
+        A = problem.A if storage == "dense" else RowAccessMatrix(sp.csr_array(problem.A.to_dense()))
+        problem = Problem(A, problem.b, x_star=problem.x_star if known else None)
         serial, one_trial = [], solvers._run
 
         def counted(problem, config, *args):
@@ -661,7 +661,7 @@ class TestTrials:
             return one_trial(problem, config, *args)
 
         monkeypatch.setattr(solvers, "_run", counted)
-        config = SolverConfig(variant=variant, seed=5, max_iters=500)
+        config = SolverConfig(variant=variant, beta=beta, seed=5, max_iters=500)
         run(problem, config, trials=_LOCKSTEP_TRIALS - 1)
         assert serial == [5, 6]
         serial.clear()
