@@ -389,7 +389,8 @@ def read_trace_csv(path) -> Trace:
     back with the same None columns: ``set_size`` and ``gamma`` for greedy
     variants only, ``err_sq`` when x* was known, ``res_sq`` for greedy
     variants or without x*.  Iterates and ``final_x`` are not stored in the
-    file.
+    file.  A row whose field count differs from the header's, a blank line
+    included, raises ``ValueError`` naming its line.
     """
     path = Path(path)
     with path.open() as fh:
@@ -400,7 +401,14 @@ def read_trace_csv(path) -> Trace:
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
-        columns = list(zip(*reader)) or [()] * len(TRACE_COLUMNS)
+        rows = []
+        for row in reader:
+            if len(row) != len(TRACE_COLUMNS):
+                # The reader started below the metadata line.
+                raise ValueError(f"{path}: line {reader.line_num + 1} has {len(row)} fields, "
+                                 f"expected {len(TRACE_COLUMNS)}")
+            rows.append(row)
+    columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
     # Older files may lack some SolverConfig fields (defaults apply) or carry
     # keys that are no longer stored (ignored).
     config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})

@@ -46,9 +46,11 @@ _IMAGE_CACHE_BYTES = 64_000_000
 # that many single draws, so the selections do not depend on it.
 _RK_BLOCK = 1024
 
-# Trials of a residual-free run step in lockstep from this many on; below it
-# the block's fixed cost per step outweighs what it saves.
+# Trials step in lockstep from this many on: rk and cyclic trials from the
+# first, grk and mgrk trials from the second.  Below it the block's fixed cost
+# per step outweighs what it saves.
 _LOCKSTEP_TRIALS = 3
+_GREEDY_LOCKSTEP_TRIALS = 4
 
 
 class SolverVariant(str, Enum):
@@ -262,6 +264,74 @@ def _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol) -> str | None:
     return "residual_tol" if res_sq / res_denom <= rse_tol else None
 
 
+class _GreedyRule(NamedTuple):
+    """A greedy run's selection: its gamma, set and sampling rules and the
+    zero tests of its residual."""
+
+    gamma_mode: GammaMode
+    theta: float
+    prob_rule: ProbabilityRule
+    tau_res: float  # a residual entry at or below this in magnitude counts as zero
+    loud_floor: float  # ||r||^2 above this proves some |r_i| > tau_res, with room for rounding
+
+    @classmethod
+    def of(cls, config: SolverConfig, b: np.ndarray) -> _GreedyRule:
+        tau_res = 1e-14 * max(1.0, float(np.max(np.abs(b))) if len(b) else 0.0)
+        return cls(config.resolved_gamma_mode(), config.theta, config.prob_rule,
+                   tau_res, 2.0 * len(b) * tau_res * tau_res)
+
+    def select(self, A, r, scores, loud, res_sq, last_index, rng):
+        """One step's sampled row, its greedy set's size and gamma; None when
+        the run has converged.
+
+        ``scores`` are r_i^2/||a_i||^2 and, in exact mode, ``loud`` is the mask
+        |r_i| > tau_res.  ``last_index`` is the previous step's row, None
+        before the first step.  ``active_set_gamma``, ``greedy_set``,
+        ``sampling_distribution`` and ``sample_index`` are called by their
+        module names, once each.
+        """
+        exact = self.gamma_mode is GammaMode.EXACT
+        gamma = active_set_gamma(A, self.gamma_mode, loud,
+                                 last_index if self.gamma_mode is GammaMode.LAST_ROW else None)
+        # Row norms are positive, so exact-mode gamma is zero just when no row
+        # is loud.
+        if exact:
+            quiet = gamma == 0.0
+        else:
+            quiet = res_sq <= self.loud_floor and not np.any(np.abs(r) > self.tau_res)
+        if quiet:
+            return None
+        try:
+            indices = greedy_set(A, scores, res_sq, gamma, self.theta)
+        except GreedyCertificateError:
+            # Only the rounding floor gets here: see ``Trace``.
+            if not exact:
+                raise
+            return None
+        probs = sampling_distribution(r, indices, self.prob_rule)
+        return indices.item(sample_index(probs, rng)), len(indices), gamma
+
+
+class _ImageCache(dict):
+    """Row images ``A.row_image(i)`` by row, kept while their bytes fit in
+    ``_IMAGE_CACHE_BYTES``."""
+
+    def __init__(self, A: RowAccessMatrix):
+        super().__init__()
+        self.A = A
+        self.free = _IMAGE_CACHE_BYTES
+
+    def image(self, i: int):
+        image = self.get(i)
+        if image is None:
+            image = self.A.row_image(i)
+            size = sum(getattr(part, "nbytes", 0) for part in image)  # a slice holds none
+            if size <= self.free:
+                self[i] = image
+                self.free -= size
+        return image
+
+
 class _Start(NamedTuple):
     """A run's first iterate, its metrics and the relative-metric denominators."""
 
@@ -325,15 +395,25 @@ def run(
     buffer kept for the run.
 
     With ``trials=T`` it returns the T traces of seeds ``config.seed + t``,
-    each equal bit for bit to a separate ``run`` with that seed.  When the run
-    keeps no residual (``rk`` or ``cyclic`` with x* known) on a dense matrix
-    without momentum and T is at least ``_LOCKSTEP_TRIALS``, the trials step
-    in lockstep on a (T, n) block of iterates: one batched ``np.matmul`` of
-    the gathered rows gives every trial's dot product, evaluated pair by pair
-    as ``a_i @ x`` is, one axpy updates the block, and one row-wise
-    ``np.add.reduce`` gives every ``err_sq``.  A trial leaves the block when
-    it stops.  Every other run (greedy variants, runs without x*, CSR
-    matrices, momentum, fewer trials) runs one trial after another.
+    each equal bit for bit to a separate ``run`` with that seed.  On a dense
+    matrix with x* known, the trials step in lockstep: ``grk`` and ``mgrk``
+    trials from T = ``_GREEDY_LOCKSTEP_TRIALS`` on, ``rk`` and ``cyclic``
+    trials without momentum from T = ``_LOCKSTEP_TRIALS`` on.  Iterates form
+    a (T, n) block, and greedy residuals a (T, m) block.  A step does the
+    serial step's arithmetic, in its order, on the whole block: one batched
+    ``np.matmul`` gives every trial's ``a_i @ x`` (``rk``, ``cyclic``) or
+    ``r @ r`` (greedy), evaluated pair by pair as the 1-D product is, and one
+    row-wise ``np.add.reduce`` gives every ``err_sq``.  Each greedy trial
+    selects its row as a serial step does, with one call each to
+    ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
+    ``sample_index``, drawing from its own generator.  Their row images come
+    from one cache, shared by the trials, under the same byte cap, and each
+    refresh is the trial's own ``matvec``.  A trial leaves the block when it
+    stops.  Every other run steps one trial after another: below the cutoffs
+    the block's fixed cost per step outweighs what it saves, a CSR greedy
+    step updates only its image's support where a block would update all m
+    rows, and no timing shows a block beating the serial loop for runs
+    without x* or for ``rk`` and ``cyclic`` with momentum.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
@@ -355,9 +435,10 @@ def run(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     configs = [replace(config, seed=config.seed + t) for t in range(trials)]
-    if (trials >= _LOCKSTEP_TRIALS and problem.x_star is not None
-            and config.variant in (SolverVariant.RK, SolverVariant.CYCLIC)
-            and not problem.A.is_sparse and config.beta == 0.0):
+    greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
+    if (trials >= (_GREEDY_LOCKSTEP_TRIALS if greedy else _LOCKSTEP_TRIALS)
+            and problem.x_star is not None and not problem.A.is_sparse
+            and (greedy or config.beta == 0.0)):
         return _run_lockstep(problem, configs, x0, capture_iterates)
     return [_run(problem, cfg, x0, capture_iterates) for cfg in configs]
 
@@ -367,16 +448,12 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
     A, b = problem.A, problem.b
     m, n = A.shape
     variant = config.variant
-    gamma_mode = config.resolved_gamma_mode()
-    alpha, beta, theta = config.alpha, config.beta, config.theta
+    alpha, beta = config.alpha, config.beta
     rng = np.random.default_rng(config.seed)
 
     start = _start(problem, config, x0)
     x, r, err_sq, res_sq = start.x, start.r, start.err_sq, start.res_sq
     x_star = problem.x_star
-    b_inf = float(np.max(np.abs(b))) if m else 0.0
-    # Floating-point test for "this residual entry is zero".
-    tau_res = 1e-14 * max(1.0, b_inf)
     err_buf = np.empty(n)
     iterates = [x.copy()] if capture_iterates else None
     err_denom, res_denom, rse_tol = start.err_denom, start.res_denom, config.rse_tol
@@ -392,17 +469,14 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
     if rk:
         rk_cdf = A.row_norms_sq.cumsum()
         rk_total = rk_cdf[-1]
-    prob_rule = config.prob_rule
     row_norms_sq = A.row_norms_sq
     # The step metrics, one entry per step.
     index, set_sizes, gammas, errs, ress = [], [], [], [], []
-    image_cache: dict[int, tuple[np.ndarray | slice, np.ndarray]] = {}
-    cache_bytes = 0
+    images = _ImageCache(A)
     last_index = None
-    exact = gamma_mode is GammaMode.EXACT
-    last_row = gamma_mode is GammaMode.LAST_ROW
-    # ||r||^2 above this proves some |r_i| > tau_res, with room for rounding.
-    loud_floor = 2.0 * m * tau_res * tau_res
+    if greedy:
+        rule = _GreedyRule.of(config, b)
+        exact = rule.gamma_mode is GammaMode.EXACT
     # Selection state: the scores, and in exact mode the loud mask.
     scores = loud = None
     stale = True
@@ -414,28 +488,13 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
             if stale:
                 scores = (r * r) / row_norms_sq
                 if exact:
-                    loud = np.abs(r) > tau_res
-            gamma = active_set_gamma(A, gamma_mode, loud, last_index if last_row else None)
-            # Row norms are positive, so exact-mode gamma is zero just when no row
-            # is loud.
-            if exact:
-                quiet = gamma == 0.0
-            else:
-                quiet = res_sq <= loud_floor and not np.any(np.abs(r) > tau_res)
-            if quiet:
+                    loud = np.abs(r) > rule.tau_res
+            picked = rule.select(A, r, scores, loud, res_sq, last_index, rng)
+            if picked is None:
                 termination = "converged"
                 break
-            try:
-                indices = greedy_set(A, scores, res_sq, gamma, theta)
-            except GreedyCertificateError:
-                # Only the rounding floor gets here: see ``Trace``.
-                if not exact:
-                    raise
-                termination = "converged"
-                break
-            probs = sampling_distribution(r, indices, prob_rule)
-            i = indices.item(sample_index(probs, rng))
-            set_sizes.append(len(indices))
+            i, set_size, gamma = picked
+            set_sizes.append(set_size)
             gammas.append(gamma)
         elif rk:
             j = k % _RK_BLOCK
@@ -447,15 +506,7 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
         else:
             i = k % m
 
-        image = None
-        if needs_residual:
-            image = image_cache.get(i)
-            if image is None:
-                image = A.row_image(i)
-                size = sum(getattr(part, "nbytes", 0) for part in image)  # a slice holds none
-                if cache_bytes + size <= _IMAGE_CACHE_BYTES:
-                    image_cache[i] = image
-                    cache_bytes += size
+        image = images.image(i) if needs_residual else None
         x_new, r_new = kaczmarz_step(A, b, i, x, x_prev, alpha, beta, r, r_prev, image)
         x_prev, x = x, x_new
         r_prev, r = r, r_new
@@ -476,7 +527,7 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
                 r_rows = r[rows]
                 scores[rows] = (r_rows * r_rows) / row_norms_sq[rows]
                 if exact:
-                    loud[rows] = np.abs(r_rows) > tau_res
+                    loud[rows] = np.abs(r_rows) > rule.tau_res
         if x_star is not None:
             err_sq = _err_sq(x, x_star, err_buf)
             errs.append(err_sq)
@@ -493,19 +544,30 @@ def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> 
                   errs if x_star is not None else None, ress if needs_residual else None)
 
 
+def _keep_rows(keep: np.ndarray, pos, blocks: tuple) -> tuple:
+    """The rows ``keep`` selects of each block (None stays None), and of
+    ``pos``, the block rows' rows in the current chunk."""
+    pos = np.flatnonzero(keep) if type(pos) is slice else pos[keep]
+    return pos, [None if block is None else block[keep] for block in blocks]
+
+
 def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
                   capture_iterates: bool) -> list[Trace]:
-    """Trials of one dense ``rk`` or ``cyclic`` run with x* known and no
-    momentum, stepped together; row p of the block ``X`` is the iterate of
-    trial ``live[p]``.  See ``run``."""
+    """Trials of one dense run with x* known, stepped together: ``grk``,
+    ``mgrk``, and ``rk`` or ``cyclic`` without momentum.  Row p of the block
+    ``X``, and for greedy variants of ``R``, ``X_prev`` and ``R_prev``, belongs
+    to trial ``live[p]``.  See ``run``."""
     A, b, x_star = problem.A, problem.b, problem.x_star
     config = configs[0]
     m = A.m
     trials = len(configs)
-    alpha, rse_tol, max_iters = config.alpha, config.rse_tol, config.max_iters
+    alpha, beta = config.alpha, config.beta
+    rse_tol, max_iters = config.rse_tol, config.max_iters
     start = _start(problem, config, x0)
-    err_denom = start.err_denom
-    rk = config.variant is SolverVariant.RK
+    err_denom, res_denom = start.err_denom, start.res_denom
+    variant = config.variant
+    rk = variant is SolverVariant.RK
+    greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
     if rk:
         rk_cdf = A.row_norms_sq.cumsum()
         rk_total = rk_cdf[-1]
@@ -516,8 +578,24 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
     X = np.tile(start.x, (trials, 1))
     buf = np.empty_like(X)
     iterates = [[start.x.copy()] for _ in configs] if capture_iterates else None
+    # The greedy block state: residuals, ||r||^2, the last picks and the
+    # previous iterates and residuals for momentum.
+    R = res = idx = X_prev = R_prev = None
+    # The recorded step metrics, each an integer or a float column.
+    columns = {"index": np.int64, "err_sq": np.float64}
+    if greedy:
+        columns.update(set_size=np.int64, gamma=np.float64, res_sq=np.float64)
+        rule = _GreedyRule.of(config, b)
+        exact = rule.gamma_mode is GammaMode.EXACT
+        R = np.tile(start.r, (trials, 1))
+        res = np.full(trials, start.res_sq)
+        if beta != 0.0:
+            # Momentum steps never write into X or R, so the first momentum term
+            # is exactly zero.
+            X_prev, R_prev = X, R
+        images = _ImageCache(A)  # shared by the trials
     # Chunks of up to _RK_BLOCK steps: the trials in the block when the chunk
-    # starts, and their rows and errors, one row of each per trial.  Row
+    # starts, and their step metrics, one row of each per trial.  Row
     # ``pos[p]`` of the current chunk belongs to block row p.
     chunks = []
     ends = {}  # trial -> (steps, termination, final iterate)
@@ -531,19 +609,79 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
                 u = np.stack([rngs[t].random(size) for t in live.tolist()])
                 picks = rk_cdf.searchsorted(u * rk_total, side="right")
                 np.minimum(picks, m - 1, out=picks)
+            elif greedy:
+                picks = np.empty((len(live), size), dtype=np.int64)
             else:
                 picks = np.tile(np.arange(k, k + size) % m, (len(live), 1))
-            errs = np.empty(picks.shape)
-            chunks.append((live, picks, errs))
+            record = {name: np.empty(picks.shape, dtype) for name, dtype in columns.items()}
+            record["index"] = picks
+            errs = record["err_sq"]
+            chunks.append((live, record))
             pos = slice(None)
-        idx = picks[pos, j]
+
+        if greedy:
+            # Each trial's selection, drawn from its own generator as in the
+            # serial run.
+            scores = R * R
+            scores /= row_norms_sq
+            loud = np.abs(R) > rule.tau_res if exact else None
+            picked = [rule.select(A, R[p], scores[p], None if loud is None else loud[p], rss,
+                                  None if idx is None else idx.item(p), rngs[t])
+                      for p, (t, rss) in enumerate(zip(live.tolist(), res.tolist()))]
+            if None in picked:
+                keep = np.array([step is not None for step in picked])
+                for p in np.flatnonzero(~keep).tolist():
+                    ends[live.item(p)] = (k, "converged", X[p].copy())
+                if not keep.any():
+                    break
+                pos, (live, X, buf, R, res, X_prev, R_prev) = _keep_rows(
+                    keep, pos, (live, X, buf, R, res, X_prev, R_prev))
+                picked = [step for step in picked if step is not None]
+            idx, sizes, gammas = map(np.array, zip(*picked))
+            record["index"][pos, j] = idx
+            record["set_size"][pos, j] = sizes
+            record["gamma"][pos, j] = gammas
+        else:
+            idx = picks[pos, j]
 
         # The scalar step's arithmetic, in its order, on every trial at once.
         rows = dense.take(idx, axis=0)
-        coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
+        if greedy:
+            coeff = alpha * R[np.arange(len(idx)), idx]
+        else:
+            coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
         coeff /= row_norms_sq[idx]
         rows *= coeff[:, None]
-        X -= rows
+        if beta != 0.0:
+            X_new = X - X_prev
+            X_new *= beta
+            X_new += X
+            X_new -= rows
+            X_prev, X = X, X_new
+        else:
+            X -= rows
+
+        if greedy:
+            # coeff * (A @ a_i) per trial, from the shared cache of row images.
+            image_rows = np.empty((len(idx), m))
+            for p, (i, c) in enumerate(zip(idx.tolist(), coeff.tolist())):
+                np.multiply(images.image(i)[1], c, out=image_rows[p])
+            if beta != 0.0:
+                R_new = R - image_rows
+                drift = R - R_prev
+                drift *= beta
+                R_new += drift
+                R_prev, R = R, R_new
+            else:
+                R -= image_rows
+            if (k + 1) % REFRESH_EVERY == 0:
+                # Each trial's own matvec of a fresh vector, as in the serial run.
+                for p in range(len(idx)):
+                    R[p] = A.matvec(X[p].copy()) - b
+                    if beta != 0.0:
+                        R_prev[p] = A.matvec(X_prev[p].copy()) - b
+            res = np.matmul(R[:, None, :], R[:, :, None]).ravel()
+            record["res_sq"][pos, j] = res
 
         np.subtract(X, x_star, out=buf)
         np.multiply(buf, buf, out=buf)
@@ -556,25 +694,27 @@ def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
         # Division by err_denom is monotone, so the smallest error decides
         # whether any trial is below the tolerance; NaN fails the test too.
         if (np.minimum.reduce(err) / err_denom > rse_tol
-                and np.maximum.reduce(err) < math.inf):
+                and np.maximum.reduce(err + res if greedy else err) < math.inf):
             continue
-        reasons = [_stop_reason(e, None, err_denom, None, rse_tol) for e in err.tolist()]
+        reasons = [_stop_reason(e, r, err_denom, res_denom, rse_tol)
+                   for e, r in zip(err.tolist(), res.tolist() if greedy else repeat(None))]
         keep = np.array([reason is None for reason in reasons])
         for p in np.flatnonzero(~keep).tolist():
             ends[live.item(p)] = (k + 1, reasons[p], X[p].copy())
         if not keep.any():
             break
-        live, X, buf = live[keep], X[keep], buf[keep]
-        pos = np.flatnonzero(keep) if type(pos) is slice else pos[keep]
+        pos, (live, X, buf, R, res, idx, X_prev, R_prev) = _keep_rows(
+            keep, pos, (live, X, buf, R, res, idx, X_prev, R_prev))
 
     for p, t in enumerate(live.tolist()):
         ends.setdefault(t, (steps, start.reason or "max_iters", X[p].copy()))
     traces = []
     for t, cfg in enumerate(configs):
         k, termination, x = ends[t]
-        own = [(picks[p], errs[p]) for members, picks, errs in chunks
+        own = [(record, p) for members, record in chunks
                for p in np.flatnonzero(members == t).tolist()]
-        index, err_sq = (np.concatenate(parts)[:k] for parts in zip(*own)) if own else ([], [])
+        metrics = {name: np.concatenate([record[name][p] for record, p in own])[:k]
+                   if own else [] for name in columns}
         traces.append(_trace(problem, cfg, start, termination, x,
-                             iterates[t] if capture_iterates else None, index, err_sq=err_sq))
+                             iterates[t] if capture_iterates else None, **metrics))
     return traces

@@ -245,6 +245,22 @@ def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
     assert "beta = 0.4 is not below beta_upper = " in err
 
 
+@pytest.mark.parametrize("edit", ["blank", "short", "long"])
+def test_certify_refuses_ragged_trace_rows(tmp_path, capsys, edit):
+    # With a blank line the trace once read as zero steps and certified.
+    path = tmp_path / "g.csv"
+    assert main(["solve", "--m", "100", "--n", "20", "--seed", "1", "--method", "grk",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    lines[4] = {"blank": "", "short": lines[4].rsplit(",", 1)[0], "long": lines[4] + ",1"}[edit]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kaczmarz: error:") and ": line 5 has" in captured.err
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("variant, beta", [("grk", "0"), ("rk", "0"), ("mgrk", "0.001")])
 def test_certify_refuses_a_bad_sigma_min_sq(tmp_path, capsys, variant, beta, sigma):

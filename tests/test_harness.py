@@ -354,6 +354,21 @@ class TestEmission:
         for name in ("index", "set_size", "gamma", "err_sq", "res_sq"):
             assert (getattr(loaded, name) is None) == (getattr(trace, name) is None), name
 
+    @pytest.mark.parametrize("edit, fields", [("blank", 0), ("short", 5), ("long", 7)])
+    @pytest.mark.parametrize("row", [2, -1], ids=["middle", "last"])
+    def test_ragged_trace_rows_refused(self, tmp_path, edit, fields, row):
+        # zip(*rows) would cut every column to the shortest row.
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
+        path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
+                               tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        line = 3 + row if row >= 0 else len(lines)  # the metadata and the header come first
+        text = lines[line - 1]
+        lines[line - 1] = {"blank": "", "short": text.rsplit(",", 1)[0], "long": text + ",1"}[edit]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {line} has {fields} fields, expected 6"):
+            read_trace_csv(path)
+
     def test_zero_step_rk_trace_refuses_certification_from_csv(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])
         trace = run(problem, SolverConfig(variant="rk"), x0=[1.0, 1.0])

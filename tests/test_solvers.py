@@ -1,10 +1,11 @@
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kaczmarz import solvers
@@ -16,8 +17,14 @@ from kaczmarz.linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from kaczmarz.selection import GreedyCertificateError
+from kaczmarz.selection import (
+    GreedyCertificateError,
+    ProbabilityRule,
+    sample_index,
+    sampling_distribution,
+)
 from kaczmarz.solvers import (
+    _GREEDY_LOCKSTEP_TRIALS,
     _LOCKSTEP_TRIALS,
     _RK_BLOCK,
     SolverConfig,
@@ -550,6 +557,17 @@ class TestPathwiseProperties:
         assert np.array_equal(first.final_x, second.final_x)
 
 
+def rounding_floor_problem(seed, storage=np.array, known=False):
+    """A 30 x 8 system whose greedy runs reach the rounding floor of their residual."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((30, 8))
+    mat[np.abs(mat) < 0.5] = 0.0
+    mat[:, 0] += 1.0
+    A = RowAccessMatrix(storage(mat))
+    b = A.matvec(rng.standard_normal(8))
+    return Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
+
+
 class TestRoundingFloor:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
@@ -561,23 +579,25 @@ class TestRoundingFloor:
         # Exact-mode gamma sums only the rows above the zero test, while ||r||^2
         # also holds the rows below it; at the rounding floor no score reaches
         # ||r||^2/gamma, and the run must stop there rather than raise.
-        rng = np.random.default_rng(seed)
-        mat = rng.standard_normal((30, 8))
-        mat[np.abs(mat) < 0.5] = 0.0
-        mat[:, 0] += 1.0
-        A = RowAccessMatrix(storage(mat))
-        b = A.matvec(rng.standard_normal(8))
-        trace = run(Problem(A, b), SolverConfig(variant=variant, gamma_mode=gamma_mode,
-                                                beta=beta, rse_tol=1e-300))
+        problem = rounding_floor_problem(seed, storage)
+        trace = run(problem, SolverConfig(variant=variant, gamma_mode=gamma_mode,
+                                          beta=beta, rse_tol=1e-300))
         assert trace.termination == "converged"
-        assert trace.records[-1].res_sq <= 1e-20 * float(b @ b)
+        assert trace.records[-1].res_sq <= 1e-20 * float(problem.b @ problem.b)
 
 
 def assert_same_run(trace, reference):
     """Bit-equal runs: the records compare by repr, so NaN and the sign of zero count."""
     assert trace.config == reference.config
     assert trace.termination == reference.termination
-    assert repr(trace.records) == repr(reference.records)
+    # Step by step, so a failure names its first differing step instead of
+    # diffing two reprs of the whole run.
+    records, expected = trace.records, reference.records
+    first = next((k for k, (ours, theirs) in enumerate(zip(records, expected))
+                  if repr(ours) != repr(theirs)),
+                 None if len(records) == len(expected) else min(len(records), len(expected)))
+    assert first is None, \
+        f"step {first} of {len(expected)}: {records[first:first + 1]} != {expected[first:first + 1]}"
     assert (trace.initial_err_sq, trace.initial_res_sq) == \
         (reference.initial_err_sq, reference.initial_res_sq)
     assert np.array_equal(trace.final_x, reference.final_x, equal_nan=True)
@@ -588,31 +608,80 @@ def assert_same_run(trace, reference):
                    for x, y in zip(trace.iterates, reference.iterates))
 
 
+@pytest.fixture
+def serial_run(monkeypatch):
+    """The serial ``_run``; a trial of ``run(..., trials=T)`` that calls it fails the test."""
+    original = solvers._run
+
+    def serial(*args):
+        pytest.fail("a trial ran serially")
+
+    monkeypatch.setattr(solvers, "_run", serial)
+    return original
+
+
+def assert_trials_equal_separate_runs(problem, config, x0, capture, trials):
+    traces = run(problem, config, x0=x0, capture_iterates=capture, trials=trials)
+    assert len(traces) == trials
+    for t, trace in enumerate(traces):
+        reference = run(problem, replace(config, seed=config.seed + t), x0=x0,
+                        capture_iterates=capture)
+        assert_same_run(trace, reference)
+
+
+# Greedy settings the trials tests draw from; lastrow needs alpha = 1 and beta = 0.
+GAMMA_MODES = st.sampled_from([None, "exact", "lastrow", "frobenius"])
+PROB_RULES = st.sampled_from(["residual", "uniform"])
+ALPHAS = st.sampled_from([1.0, 0.7])
+STARTS = st.sampled_from(["zero", "random", "x_star"])
+
+
+def start_vector(start, seed, problem):
+    return {"zero": None,
+            "random": np.random.default_rng(seed).standard_normal(problem.A.n),
+            "x_star": problem.x_star}[start]
+
+
 class TestTrials:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 8),
            variant_beta=st.sampled_from([("rk", 0.0), ("rk", 0.3), ("cyclic", 0.0),
                                          ("cyclic", 0.3), ("grk", 0.0), ("mgrk", 0.3)]),
-           storage=st.sampled_from(["dense", "csr"]), known=st.booleans(),
-           start=st.sampled_from(["zero", "random", "x_star"]), capture=st.booleans(),
-           max_iters=st.sampled_from([7, 3000]), trials=st.integers(1, 9))
-    def test_trials_equal_separate_runs(self, seed, m, n, variant_beta, storage, known, start,
-                                        capture, max_iters, trials):
+           gamma_mode=GAMMA_MODES, prob_rule=PROB_RULES, alpha=ALPHAS,
+           storage=st.sampled_from(["dense", "csr"]), known=st.booleans(), start=STARTS,
+           capture=st.booleans(), max_iters=st.sampled_from([7, 3000]),
+           trials=st.integers(1, 9))
+    def test_trials_equal_separate_runs(self, seed, m, n, variant_beta, gamma_mode, prob_rule,
+                                        alpha, storage, known, start, capture, max_iters, trials):
         variant, beta = variant_beta
+        assume(gamma_mode != "lastrow" or (alpha == 1.0 and beta == 0.0))
         problem = gaussian_problem(seed, m, n, known=known, sparsity=0.5)
         if storage == "csr":
             problem = Problem(RowAccessMatrix(sp.csr_array(problem.A.to_dense())), problem.b,
                               x_star=problem.x_star)
-        x0 = {"zero": None,
-              "random": np.random.default_rng(seed).standard_normal(n),
-              "x_star": problem.x_star}[start]
-        config = SolverConfig(variant=variant, beta=beta, seed=seed, max_iters=max_iters)
-        traces = run(problem, config, x0=x0, capture_iterates=capture, trials=trials)
-        assert len(traces) == trials
-        for t, trace in enumerate(traces):
-            reference = run(problem, replace(config, seed=seed + t), x0=x0,
-                            capture_iterates=capture)
-            assert_same_run(trace, reference)
+        config = SolverConfig(variant=variant, alpha=alpha, beta=beta, gamma_mode=gamma_mode,
+                              prob_rule=prob_rule, seed=seed, max_iters=max_iters)
+        assert_trials_equal_separate_runs(problem, config, start_vector(start, seed, problem),
+                                          capture, trials)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 8),
+           variant_beta=st.sampled_from([("grk", 0.0), ("mgrk", 0.3), ("mgrk", 0.0)]),
+           gamma_mode=st.sampled_from(["exact", "lastrow", "frobenius"]),
+           prob_rule=PROB_RULES, alpha=ALPHAS, start=STARTS,
+           capture=st.booleans(), max_iters=st.sampled_from([7, 3000]),
+           trials=st.integers(_GREEDY_LOCKSTEP_TRIALS - 1, 9))
+    def test_greedy_trials_equal_separate_runs(self, seed, m, n, variant_beta, gamma_mode,
+                                               prob_rule, alpha, start, capture, max_iters,
+                                               trials):
+        # Dense with x* known: the runs that step in lockstep from the cutoff on.
+        variant, beta = variant_beta
+        assume(gamma_mode != "lastrow" or (alpha == 1.0 and beta == 0.0))
+        problem = gaussian_problem(seed, m, n, sparsity=0.5)
+        config = SolverConfig(variant=variant, alpha=alpha, beta=beta, gamma_mode=gamma_mode,
+                              prob_rule=prob_rule, seed=seed, max_iters=max_iters)
+        assert_trials_equal_separate_runs(problem, config, start_vector(start, seed, problem),
+                                          capture, trials)
 
     @pytest.mark.parametrize("block", [64, _RK_BLOCK])
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
@@ -644,13 +713,29 @@ class TestTrials:
                 reference = run(problem, replace(config, seed=t))
             assert_same_run(trace, reference)
 
+    @pytest.mark.parametrize("variant, alpha, beta", [("grk", 3.0, 0.0), ("mgrk", 1.0, 3.0)])
+    def test_diverging_greedy_trials_end_nonfinite(self, serial_run, variant, alpha, beta):
+        problem = random_problem(30, 6, seed=34, kappa=3.0)
+        config = SolverConfig(variant=variant, alpha=alpha, beta=beta, max_iters=100_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+        for t, trace in enumerate(traces):
+            assert trace.termination == "nonfinite"
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = serial_run(problem, replace(config, seed=t), None, False)
+            assert_same_run(trace, reference)
+
     @pytest.mark.parametrize("variant, known, storage, beta, lockstep", [
         ("rk", True, "dense", 0.0, True), ("cyclic", True, "dense", 0.0, True),
-        ("rk", False, "dense", 0.0, False), ("grk", True, "dense", 0.0, False),
-        ("rk", True, "csr", 0.0, False), ("cyclic", True, "dense", 0.3, False)])
+        ("grk", True, "dense", 0.0, True), ("mgrk", True, "dense", 0.3, True),
+        ("rk", False, "dense", 0.0, False), ("grk", False, "dense", 0.0, False),
+        ("rk", True, "csr", 0.0, False), ("grk", True, "csr", 0.0, False),
+        ("cyclic", True, "dense", 0.3, False)])
     def test_lockstep_from_the_cutoff(self, monkeypatch, variant, known, storage, beta,
                                       lockstep):
-        # Only dense rk and cyclic runs with x* known and no momentum step in lockstep.
+        # Only dense runs with x* known step in lockstep, rk and cyclic ones without
+        # momentum; greedy variants have their own cutoff.
         problem = random_problem(40, 8, seed=3, kappa=3.0)
         A = problem.A if storage == "dense" else RowAccessMatrix(sp.csr_array(problem.A.to_dense()))
         problem = Problem(A, problem.b, x_star=problem.x_star if known else None)
@@ -661,12 +746,13 @@ class TestTrials:
             return one_trial(problem, config, *args)
 
         monkeypatch.setattr(solvers, "_run", counted)
+        cutoff = _GREEDY_LOCKSTEP_TRIALS if variant in ("grk", "mgrk") else _LOCKSTEP_TRIALS
         config = SolverConfig(variant=variant, beta=beta, seed=5, max_iters=500)
-        run(problem, config, trials=_LOCKSTEP_TRIALS - 1)
-        assert serial == [5, 6]
+        run(problem, config, trials=cutoff - 1)
+        assert serial == list(range(5, 5 + cutoff - 1))
         serial.clear()
-        assert len(run(problem, config, trials=_LOCKSTEP_TRIALS)) == _LOCKSTEP_TRIALS
-        assert serial == ([] if lockstep else [5, 6, 7])
+        assert len(run(problem, config, trials=cutoff)) == cutoff
+        assert serial == ([] if lockstep else list(range(5, 5 + cutoff)))
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
@@ -686,6 +772,122 @@ class TestTrials:
         monkeypatch.setattr(Trace, "records", property(lambda self: pytest.fail("records built")))
         with pytest.raises(ValueError, match="no gamma"):
             certify_trace(traces[0], smallest_nonzero_singular_value(problem.A) ** 2)
+
+
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+    def test_greedy_trials_past_the_residual_refresh(self, serial_run, variant, beta):
+        # 1500 steps: a residual refresh at step 1000 and a second chunk of records.
+        problem = random_problem(60, 10, seed=31, kappa=100.0)
+        config = SolverConfig(variant=variant, beta=beta, seed=3, max_iters=1500)
+        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+        for t, trace in enumerate(traces):
+            assert trace.termination == "max_iters" and trace.iterations == 1500
+            assert_same_run(trace, serial_run(problem, replace(config, seed=3 + t), None, False))
+
+    @pytest.mark.parametrize("prob_rule", ["residual", "uniform"])
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+    def test_greedy_trials_with_large_sets(self, serial_run, prob_rule, variant, beta):
+        # Sets of dozens of rows, of different sizes in one step's trials.
+        problem = random_problem(400, 20, seed=9, kappa=5.0)
+        config = SolverConfig(variant=variant, beta=beta, theta=0.1, prob_rule=prob_rule,
+                              seed=11, max_iters=300)
+        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS + 1)
+        assert max(trace.set_size.max() for trace in traces) > 64
+        for t, trace in enumerate(traces):
+            assert_same_run(trace, serial_run(problem, replace(config, seed=11 + t), None, False))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("variant, gamma_mode, beta", [
+        ("grk", "exact", 0.0), ("grk", "lastrow", 0.0), ("grk", "frobenius", 0.0),
+        ("mgrk", "exact", 0.3), ("mgrk", "lastrow", 0.0), ("mgrk", "frobenius", 0.3)])
+    def test_converged_trials_leave_the_block(self, serial_run, seed, variant, gamma_mode, beta):
+        # The rounding-floor systems: every trial ends converged at its own step,
+        # most of them mid-chunk, and the others keep stepping.
+        problem = rounding_floor_problem(seed, known=True)
+        config = SolverConfig(variant=variant, gamma_mode=gamma_mode, beta=beta,
+                              rse_tol=1e-300, seed=seed)
+        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS + 2)
+        assert len({trace.iterations for trace in traces}) > 1
+        for t, trace in enumerate(traces):
+            assert trace.termination == "converged"
+            assert_same_run(trace, serial_run(problem, replace(config, seed=seed + t), None, False))
+
+    @pytest.mark.parametrize("gamma_mode", ["exact", "lastrow", "frobenius"])
+    def test_certificate_error_as_in_serial_runs(self, monkeypatch, serial_run, gamma_mode):
+        # A failed certificate ends an exact-mode run converged and raises in the
+        # other modes, for lockstep trials as for a serial run.
+        problem = random_problem(40, 8, seed=5, kappa=3.0)
+        original = solvers.greedy_set
+
+        def failing(A, scores, rss, gamma, theta):
+            if rss < 1e-8:
+                raise GreedyCertificateError("member below the certificate")
+            return original(A, scores, rss, gamma, theta)
+
+        monkeypatch.setattr(solvers, "greedy_set", failing)
+        config = SolverConfig(variant="grk", gamma_mode=gamma_mode, seed=1)
+        if gamma_mode != "exact":
+            with pytest.raises(GreedyCertificateError):
+                serial_run(problem, config, None, False)
+            with pytest.raises(GreedyCertificateError):
+                run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+            return
+        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+        for t, trace in enumerate(traces):
+            assert trace.termination == "converged"
+            assert_same_run(trace, serial_run(problem, replace(config, seed=1 + t), None, False))
+
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+    def test_greedy_trials_capture_iterates(self, serial_run, variant, beta):
+        problem = random_problem(50, 8, seed=6, kappa=4.0)
+        config = SolverConfig(variant=variant, beta=beta, alpha=0.7, seed=8)
+        traces = run(problem, config, capture_iterates=True, trials=_GREEDY_LOCKSTEP_TRIALS + 1)
+        for t, trace in enumerate(traces):
+            assert len(trace.iterates) == trace.iterations + 1
+            assert_same_run(trace, serial_run(problem, replace(config, seed=8 + t), None, True))
+
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+    def test_lockstep_greedy_traces_round_trip(self, tmp_path, serial_run, variant, beta):
+        problem = random_problem(60, 10, seed=4, kappa=3.0)
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        traces = run(problem, SolverConfig(variant=variant, beta=beta, seed=2),
+                     trials=_GREEDY_LOCKSTEP_TRIALS)
+        for t, trace in enumerate(traces):
+            loaded = read_trace_csv(write_trace_csv(trace, tmp_path / f"{t}.csv"))
+            assert repr(loaded.records) == repr(trace.records)
+            assert loaded.set_size.dtype == np.int64
+            if variant == "grk":
+                assert certify_trace(loaded, sigma_sq).passed
+
+    @pytest.mark.parametrize("variant, beta, gamma_mode", [
+        ("grk", 0.0, None), ("grk", 0.0, "lastrow"), ("mgrk", 0.4, None)])
+    def test_lockstep_calls_the_selection_functions_as_serial_runs_do(
+            self, monkeypatch, serial_run, variant, beta, gamma_mode):
+        # The benchmark's selection spans wrap these module names; a lockstep run
+        # makes one call to each per trial and step, as the serial runs do.
+        calls = Counter()
+        for name in ("greedy_set", "active_set_gamma", "sampling_distribution",
+                     "sample_index"):
+            def counted(*args, _name=name, _original=getattr(solvers, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solvers, name, counted)
+        problem = rounding_floor_problem(0, known=True)
+        config = SolverConfig(variant=variant, beta=beta, gamma_mode=gamma_mode, seed=4,
+                              rse_tol=1e-300)
+        trials = _GREEDY_LOCKSTEP_TRIALS + 1
+        serial = [serial_run(problem, replace(config, seed=4 + t), None, False)
+                  for t in range(trials)]
+        expected = calls.copy()
+        calls.clear()
+        run(problem, config, trials=trials)
+        assert calls == expected
+        # Each step calls all four; a run that ends converged may call the first
+        # two once more.
+        steps = sum(trace.iterations for trace in serial)
+        assert expected["sample_index"] == expected["sampling_distribution"] == steps
+        assert steps <= expected["greedy_set"] <= expected["active_set_gamma"] <= steps + trials
 
 
 def test_lastrow_gamma_of_a_dominant_row_keeps_its_certificate():
