@@ -28,7 +28,6 @@ from .solvers import (
     SolverVariant,
     Trace,
     TraceRecord,
-    kaczmarz_step,
     run,
 )
 from .analysis import (

@@ -390,7 +390,8 @@ def read_trace_csv(path) -> Trace:
     variants only, ``err_sq`` when x* was known, ``res_sq`` for greedy
     variants or without x*.  Iterates and ``final_x`` are not stored in the
     file.  A row whose field count differs from the header's, a blank line
-    included, raises ``ValueError`` naming its line.
+    included, raises ``ValueError`` naming its line; so does a metadata line
+    that is not a JSON object of the trace fields or holds a bad setting.
     """
     path = Path(path)
     with path.open() as fh:
@@ -398,6 +399,9 @@ def read_trace_csv(path) -> Trace:
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing metadata line")
         meta = json.loads(first[1:].strip())
+        if not (isinstance(meta, dict) and meta.keys() >= set(_TRACE_METADATA)):
+            raise ValueError(f"{path}: the metadata line is not a JSON object with the keys "
+                             f"{', '.join(_TRACE_METADATA)}")
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
@@ -411,7 +415,11 @@ def read_trace_csv(path) -> Trace:
     columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
     # Older files may lack some SolverConfig fields (defaults apply) or carry
     # keys that are no longer stored (ignored).
-    config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig) if f.name in meta})
+    try:
+        config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig)
+                                 if f.name in meta})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: the metadata line's solver settings: {exc}") from None
     greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
     known = meta["initial_err_sq"] is not None
     recorded = {"index": True, "set_size": greedy, "gamma": greedy, "err_sq": known,

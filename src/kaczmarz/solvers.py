@@ -32,7 +32,6 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "Trace",
-    "kaczmarz_step",
     "run",
 ]
 
@@ -46,11 +45,10 @@ _IMAGE_CACHE_BYTES = 64_000_000
 # that many single draws, so the selections do not depend on it.
 _RK_BLOCK = 1024
 
-# Trials step in lockstep from this many on: rk and cyclic trials from the
-# first, grk and mgrk trials from the second.  Below it the block's fixed cost
-# per step outweighs what it saves.
+# Dense rk and cyclic trials without momentum or residual step by block
+# arithmetic, one batched np.matmul for every <a_i, x>, from this many trials
+# on.  Below it the block's fixed cost per step outweighs what it saves.
 _LOCKSTEP_TRIALS = 3
-_GREEDY_LOCKSTEP_TRIALS = 4
 
 
 class SolverVariant(str, Enum):
@@ -178,74 +176,8 @@ class Trace:
         denom = self.x_star_norm_sq if self.x_star_norm_sq > 0.0 else 1.0
         return float(err) / denom
 
-    def err_history(self) -> np.ndarray:
-        """Squared errors [initial, after step 0, after step 1, ...]."""
-        if self.initial_err_sq is None or self.err_sq is None:
-            raise ValueError("trace has no error metric (x* was unknown)")
-        return np.concatenate(([self.initial_err_sq], self.err_sq))
-
     def selections(self) -> list[int]:
         return self.index.tolist()
-
-
-def kaczmarz_step(
-    A: RowAccessMatrix,
-    b: np.ndarray,
-    i: int,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    r: np.ndarray | None = None,
-    r_prev: np.ndarray | None = None,
-    image: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One relaxed projection onto <a_i, x> = b_i plus heavy-ball momentum.
-
-    Returns ``(x_new, r_new)`` with
-    ``x_new = x - coeff * a_i + beta * (x - x_prev)`` and
-    ``coeff = alpha * r_i / ||a_i||^2``.  When the caller keeps the residual
-    ``r = Ax - b``, r_i is read from it and ``r_new`` is its rank-1 update
-    ``r - coeff * (A @ a_i) + beta * (r - r_prev)``; ``image`` is
-    ``A.row_image(i)``, the pair ``(rows, values)``, when the caller has it
-    cached.  Without momentum the update writes ``r[rows]`` in place and
-    touches nothing else, so ``r_new`` is ``r`` and a sparse image costs
-    O(len(rows)); with momentum ``r_new`` is a new array and ``r`` is left as
-    it was.  Without ``r``, r_i = <a_i, x> - b_i costs O(nnz(a_i)) and
-    ``r_new`` is None.
-    """
-    # Scalar arithmetic on Python floats: the same IEEE operations as on numpy
-    # scalars, without their per-operation overhead.
-    if r is None:
-        r_i = A.row_dot(i, x) - b.item(i)
-    else:
-        r_i = r.item(i)
-        if beta != 0.0 and r_prev is None:
-            raise ValueError("momentum residual update needs the previous residual")
-    coeff = alpha * r_i / A.row_norms_sq.item(i)
-    if beta != 0.0:
-        x_new = x + beta * (x - x_prev)
-    else:
-        x_new = x.copy()
-    A.axpy_row(i, -coeff, x_new)
-    if r is None:
-        return x_new, None
-    rows, values = A.row_image(i) if image is None else image
-    if beta == 0.0:
-        r[rows] -= coeff * values
-        return x_new, r
-    r_new = r.copy()
-    r_new[rows] -= coeff * values
-    r_new += beta * (r - r_prev)
-    return x_new, r_new
-
-
-def _err_sq(x: np.ndarray, x_star: np.ndarray, buf: np.ndarray) -> float:
-    """||x - x*||^2 computed in ``buf``: the same pairwise sum, bit for bit, as
-    ``np.sum((x - x_star) ** 2)``, without its two temporaries."""
-    np.subtract(x, x_star, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return float(np.add.reduce(buf))
 
 
 def _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol) -> str | None:
@@ -332,48 +264,6 @@ class _ImageCache(dict):
         return image
 
 
-class _Start(NamedTuple):
-    """A run's first iterate, its metrics and the relative-metric denominators."""
-
-    x: np.ndarray
-    r: np.ndarray
-    err_sq: float | None
-    res_sq: float
-    x_star_norm_sq: float | None
-    err_denom: float
-    res_denom: float
-    reason: str | None  # why the run stops before its first step, if it does
-
-
-def _start(problem: Problem, config: SolverConfig, x0) -> _Start:
-    A, b, x_star = problem.A, problem.b, problem.x_star
-    x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
-    r = A.matvec(x) - b
-    x_star_norm_sq = float(x_star @ x_star) if x_star is not None else None
-    err_sq = _err_sq(x, x_star, np.empty(A.n)) if x_star is not None else None
-    res_sq = float(r @ r)
-    b_norm_sq = float(b @ b)
-    # Relative-metric denominators, 1 for a zero x* or b.
-    err_denom = x_star_norm_sq if x_star is not None and x_star_norm_sq > 0.0 else 1.0
-    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
-    reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, config.rse_tol)
-    return _Start(x, r, err_sq, res_sq, x_star_norm_sq, err_denom, res_denom, reason)
-
-
-def _trace(problem, config, start, termination, final_x, iterates, index,
-           set_size=None, gamma=None, err_sq=None, res_sq=None) -> Trace:
-    """The trace of a finished run; each step metric is a list, an array or None."""
-    def column(values, dtype):
-        return None if values is None else np.asarray(values, dtype=dtype)
-
-    return Trace(termination=termination, initial_err_sq=start.err_sq,
-                 initial_res_sq=start.res_sq, final_x=final_x, config=config,
-                 frobenius_sq=problem.A.frobenius_sq, x_star_norm_sq=start.x_star_norm_sq,
-                 index=column(index, np.int64), set_size=column(set_size, np.int64),
-                 gamma=column(gamma, np.float64), err_sq=column(err_sq, np.float64),
-                 res_sq=column(res_sq, np.float64), iterates=iterates)
-
-
 # A diverging run ends "nonfinite"; numpy need not also warn about it.
 @np.errstate(over="ignore", invalid="ignore")
 def run(
@@ -383,338 +273,287 @@ def run(
     capture_iterates: bool = False,
     trials: int | None = None,
 ) -> Trace | list[Trace]:
-    """Drive one solver run to a stopping rule and record its trace.
+    """Drive solver runs to a stopping rule and record their traces.
 
     Starts from zero unless ``x0`` is given; an ``x0`` of the wrong length
     or with NaN or infinite entries raises ``ValueError``, and the caller's
     array is never written.  Error metrics are measured against
     ``problem.x_star``, which is the correct target for x0 = 0 (and for any
-    x0 whose offset from x* lies in Range(A^T)).  Identical (problem, config)
-    pairs produce identical traces.  Each ``err_sq`` is bitwise
-    ``np.sum((x - x_star) ** 2)`` of the iterate it follows, computed in a
-    buffer kept for the run.
+    x0 whose offset from x* lies in Range(A^T)).  Each ``err_sq`` is bitwise
+    ``np.sum((x - x_star) ** 2)`` of the iterate it follows.
 
-    With ``trials=T`` it returns the T traces of seeds ``config.seed + t``,
-    each equal bit for bit to a separate ``run`` with that seed.  On a dense
-    matrix with x* known, the trials step in lockstep: ``grk`` and ``mgrk``
-    trials from T = ``_GREEDY_LOCKSTEP_TRIALS`` on, ``rk`` and ``cyclic``
-    trials without momentum from T = ``_LOCKSTEP_TRIALS`` on.  Iterates form
-    a (T, n) block, and greedy residuals a (T, m) block.  A step does the
-    serial step's arithmetic, in its order, on the whole block: one batched
-    ``np.matmul`` gives every trial's ``a_i @ x`` (``rk``, ``cyclic``) or
-    ``r @ r`` (greedy), evaluated pair by pair as the 1-D product is, and one
-    row-wise ``np.add.reduce`` gives every ``err_sq``.  Each greedy trial
-    selects its row as a serial step does, with one call each to
+    Without ``trials`` it returns one trace; ``trials=T`` returns the T traces
+    of seeds ``config.seed + t``.  Both step one loop over a block of live
+    trials: the iterates form a (T, n) block, the residuals, where kept, a
+    (T, m) block, and a trial leaves the block when it stops.  Each trial
+    selects its row from its own generator, through one call each to
     ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
-    ``sample_index``, drawing from its own generator.  Their row images come
-    from one cache, shared by the trials, under the same byte cap, and each
-    refresh is the trial's own ``matvec``.  A trial leaves the block when it
-    stops.  Every other run steps one trial after another: below the cutoffs
-    the block's fixed cost per step outweighs what it saves, a CSR greedy
-    step updates only its image's support where a block would update all m
-    rows, and no timing shows a block beating the serial loop for runs
-    without x* or for ``rk`` and ``cyclic`` with momentum.
+    ``sample_index`` for ``grk`` and ``mgrk``, computes its coefficient on
+    Python floats and updates its row with ``axpy_row``.  Dense ``rk`` and
+    ``cyclic`` trials without momentum or residual instead take one batched
+    ``np.matmul`` for every <a_i, x> from T = ``_LOCKSTEP_TRIALS`` on, where
+    it beats the per-trial form; both give the same bits.  Each trial's
+    ``r @ r`` is its own dot, and one row-wise ``np.add.reduce`` gives every
+    ``err_sq`` as the 1-D form does, so a trial's trace equals a separate run
+    with its seed bit for bit, and identical inputs give identical traces.  Both hold for a fixed BLAS build and thread count:
+    GEMV results, and with them the metrics, can differ between thread counts.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
     its own row and records no ``res_sq``.  ``rk`` draws its uniforms
     ``_RK_BLOCK`` at a time and maps a block to rows in one search; a block
     is the same stream as that many single draws, so the selections are
-    those of one ``rng.random()`` per step.
+    those of one ``rng.random()`` per step.  Row images are cached up to
+    ``_IMAGE_CACHE_BYTES`` of rows and values, shared by the trials, and each
+    refresh every ``REFRESH_EVERY`` steps is the trial's own ``matvec``.
 
-    Greedy runs keep the scores r_i^2/||a_i||^2 and, in exact gamma mode, the
-    mask |r_i| > tau.  Without momentum a step updates them on
-    the rows of its image only; momentum steps and the residual refresh every
-    ``REFRESH_EVERY`` steps recompute them.  The other gamma modes read the
-    mask only to detect a zero residual, and skip it while ||r||^2 > 2 m tau^2
-    proves some row is above tau.  Row images are cached up to
-    ``_IMAGE_CACHE_BYTES`` of rows and values.
+    A trial updates its residual row on its image's rows only, which for
+    CSR storage is the image's support.  Greedy runs keep the scores
+    r_i^2/||a_i||^2 and, in exact gamma mode, the mask |r_i| > tau.  A CSR
+    step without momentum updates them on its image's support; every other
+    step, and each refresh, recomputes them for the whole block.  The other
+    gamma modes read the mask only to detect a zero residual, and skip it
+    while ||r||^2 > 2 m tau^2 proves some row is above tau.
     """
-    if trials is None:
-        return _run(problem, config, x0, capture_iterates)
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    configs = [replace(config, seed=config.seed + t) for t in range(trials)]
-    greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    if (trials >= (_GREEDY_LOCKSTEP_TRIALS if greedy else _LOCKSTEP_TRIALS)
-            and problem.x_star is not None and not problem.A.is_sparse
-            and (greedy or config.beta == 0.0)):
-        return _run_lockstep(problem, configs, x0, capture_iterates)
-    return [_run(problem, cfg, x0, capture_iterates) for cfg in configs]
-
-
-def _run(problem: Problem, config: SolverConfig, x0, capture_iterates: bool) -> Trace:
-    """One run, one step after another; see ``run``."""
-    A, b = problem.A, problem.b
-    m, n = A.shape
-    variant = config.variant
-    alpha, beta = config.alpha, config.beta
-    rng = np.random.default_rng(config.seed)
-
-    start = _start(problem, config, x0)
-    x, r, err_sq, res_sq = start.x, start.r, start.err_sq, start.res_sq
-    x_star = problem.x_star
-    err_buf = np.empty(n)
-    iterates = [x.copy()] if capture_iterates else None
-    err_denom, res_denom, rse_tol = start.err_denom, start.res_denom, config.rse_tol
-
-    greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    needs_residual = greedy or x_star is None
-    if not needs_residual:
-        r = res_sq = None
-    # Momentum steps never write into x or r, so the first momentum term is
-    # exactly zero.
-    x_prev, r_prev = x, r
-    rk = variant is SolverVariant.RK
-    if rk:
-        rk_cdf = A.row_norms_sq.cumsum()
-        rk_total = rk_cdf[-1]
-    row_norms_sq = A.row_norms_sq
-    # The step metrics, one entry per step.
-    index, set_sizes, gammas, errs, ress = [], [], [], [], []
-    images = _ImageCache(A)
-    last_index = None
-    if greedy:
-        rule = _GreedyRule.of(config, b)
-        exact = rule.gamma_mode is GammaMode.EXACT
-    # Selection state: the scores, and in exact mode the loud mask.
-    scores = loud = None
-    stale = True
-
-    termination = start.reason or "max_iters"
-    # A run that stops at its first iterate takes no step.
-    for k in range(config.max_iters if start.reason is None else 0):
-        if greedy:
-            if stale:
-                scores = (r * r) / row_norms_sq
-                if exact:
-                    loud = np.abs(r) > rule.tau_res
-            picked = rule.select(A, r, scores, loud, res_sq, last_index, rng)
-            if picked is None:
-                termination = "converged"
-                break
-            i, set_size, gamma = picked
-            set_sizes.append(set_size)
-            gammas.append(gamma)
-        elif rk:
-            j = k % _RK_BLOCK
-            if j == 0:
-                u = rng.random(min(_RK_BLOCK, config.max_iters - k))
-                picks = rk_cdf.searchsorted(u * rk_total, side="right")
-                picks = np.minimum(picks, m - 1, out=picks).tolist()
-            i = picks[j]
-        else:
-            i = k % m
-
-        image = images.image(i) if needs_residual else None
-        x_new, r_new = kaczmarz_step(A, b, i, x, x_prev, alpha, beta, r, r_prev, image)
-        x_prev, x = x, x_new
-        r_prev, r = r, r_new
-        last_index = i
-        index.append(i)
-
-        if needs_residual:
-            refresh = (k + 1) % REFRESH_EVERY == 0
-            if refresh:
-                r = A.matvec(x) - b
-                if beta != 0.0:
-                    r_prev = A.matvec(x_prev) - b
-            res_sq = float(r @ r)
-            ress.append(res_sq)
-            stale = refresh or beta != 0.0
-            if greedy and not stale:
-                rows = image[0]
-                r_rows = r[rows]
-                scores[rows] = (r_rows * r_rows) / row_norms_sq[rows]
-                if exact:
-                    loud[rows] = np.abs(r_rows) > rule.tau_res
-        if x_star is not None:
-            err_sq = _err_sq(x, x_star, err_buf)
-            errs.append(err_sq)
-        if capture_iterates:
-            iterates.append(x.copy())
-
-        reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
-        if reason is not None:
-            termination = reason
-            break
-
-    return _trace(problem, config, start, termination, x.copy(), iterates, index,
-                  set_sizes if greedy else None, gammas if greedy else None,
-                  errs if x_star is not None else None, ress if needs_residual else None)
-
-
-def _keep_rows(keep: np.ndarray, pos, blocks: tuple) -> tuple:
-    """The rows ``keep`` selects of each block (None stays None), and of
-    ``pos``, the block rows' rows in the current chunk."""
-    pos = np.flatnonzero(keep) if type(pos) is slice else pos[keep]
-    return pos, [None if block is None else block[keep] for block in blocks]
-
-
-def _run_lockstep(problem: Problem, configs: list[SolverConfig], x0,
-                  capture_iterates: bool) -> list[Trace]:
-    """Trials of one dense run with x* known, stepped together: ``grk``,
-    ``mgrk``, and ``rk`` or ``cyclic`` without momentum.  Row p of the block
-    ``X``, and for greedy variants of ``R``, ``X_prev`` and ``R_prev``, belongs
-    to trial ``live[p]``.  See ``run``."""
+    configs = ([config] if trials is None
+               else [replace(config, seed=config.seed + t) for t in range(trials)])
     A, b, x_star = problem.A, problem.b, problem.x_star
-    config = configs[0]
     m = A.m
-    trials = len(configs)
-    alpha, beta = config.alpha, config.beta
-    rse_tol, max_iters = config.rse_tol, config.max_iters
-    start = _start(problem, config, x0)
-    err_denom, res_denom = start.err_denom, start.res_denom
     variant = config.variant
-    rk = variant is SolverVariant.RK
+    alpha, beta, rse_tol = config.alpha, config.beta, config.rse_tol
     greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    if rk:
-        rk_cdf = A.row_norms_sq.cumsum()
-        rk_total = rk_cdf[-1]
+    dense = not A.is_sparse
+    momentum = beta != 0.0
+    known = x_star is not None
+    keeps_r = greedy or not known
     row_norms_sq = A.row_norms_sq
-    dense = A.to_dense()
+
+    x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
+    r = A.matvec(x) - b
+    res_sq = float(r @ r)
+    b_norm_sq = float(b @ b)
+    # Relative-metric denominators, 1 for a zero x* or b.
+    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
+    err_sq = x_star_norm_sq = None
+    err_denom = 1.0
+    if known:
+        x_star_norm_sq = float(x_star @ x_star)
+        err_sq = float(np.sum((x - x_star) ** 2))
+        err_denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
+    start_reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
+
+    # Block row p of every array and list below belongs to trial live[p].
+    live = list(range(len(configs)))
     rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
-    live = np.arange(trials)
-    X = np.tile(start.x, (trials, 1))
-    buf = np.empty_like(X)
-    iterates = [[start.x.copy()] for _ in configs] if capture_iterates else None
-    # The greedy block state: residuals, ||r||^2, the last picks and the
-    # previous iterates and residuals for momentum.
-    R = res = idx = X_prev = R_prev = None
-    # The recorded step metrics, each an integer or a float column.
-    columns = {"index": np.int64, "err_sq": np.float64}
+    X = np.tile(x, (len(live), 1))
+    # A momentum step writes the new iterates over X_prev.  It starts as a copy
+    # of X, so the first momentum term is exactly zero.
+    X_prev = X.copy() if momentum else None
+    # With momentum, ``img`` holds the new residuals before their momentum term.
+    R = R_prev = img = scores = loud = last = picks = X_star = buf = None
+    # Each block row's latest metrics; () where the run records none.
+    errs = res = ()
+    # The recorded step metrics and their types.
+    columns = {"index": np.int64}
     if greedy:
-        columns.update(set_size=np.int64, gamma=np.float64, res_sq=np.float64)
+        columns.update(set_size=np.int64, gamma=np.float64)
+    if known:
+        # One x* row per block row: a subtract of equal shapes beats a broadcast.
+        X_star = np.tile(x_star, (len(live), 1))
+        buf = np.empty_like(X)
+        columns["err_sq"] = np.float64
+    if keeps_r:
+        R = np.tile(r, (len(live), 1))
+        R_prev = R.copy() if momentum else None
+        img = np.empty_like(R) if momentum else None
+        res = [res_sq] * len(live)
+        images = _ImageCache(A)  # shared by the trials
+        columns["res_sq"] = np.float64
+    # A greedy CSR step without momentum updates the scores and the mask on its
+    # image's support; every other greedy step recomputes them.
+    support_update = greedy and not dense and not momentum
+    if greedy:
         rule = _GreedyRule.of(config, b)
         exact = rule.gamma_mode is GammaMode.EXACT
-        R = np.tile(start.r, (trials, 1))
-        res = np.full(trials, start.res_sq)
-        if beta != 0.0:
-            # Momentum steps never write into X or R, so the first momentum term
-            # is exactly zero.
-            X_prev, R_prev = X, R
-        images = _ImageCache(A)  # shared by the trials
-    # Chunks of up to _RK_BLOCK steps: the trials in the block when the chunk
-    # starts, and their step metrics, one row of each per trial.  Row
-    # ``pos[p]`` of the current chunk belongs to block row p.
-    chunks = []
+        scores = np.empty_like(R)
+        if exact:
+            loud = np.empty(R.shape, dtype=bool)
+        last = [None] * len(live)
+    elif variant is SolverVariant.RK:
+        rk_cdf = row_norms_sq.cumsum()
+        rk_total = rk_cdf[-1]
+    batched = not keeps_r and dense and not momentum and len(live) >= _LOCKSTEP_TRIALS
+    iterates = [[x.copy()] for _ in configs] if capture_iterates else None
+    # The step metrics of each block membership, at most _RK_BLOCK steps at a
+    # time: the trials and a (steps, trials) array per metric.
+    segments = []
+    members, record, filled = [], {}, 0
     ends = {}  # trial -> (steps, termination, final iterate)
+    gone = []  # block rows that leave after this step
+    new_block = stale = True
 
-    steps = max_iters if start.reason is None else 0
+    steps = config.max_iters if start_reason is None else 0
     for k in range(steps):
         j = k % _RK_BLOCK
-        if j == 0:
-            size = min(_RK_BLOCK, max_iters - k)
-            if rk:
-                u = np.stack([rngs[t].random(size) for t in live.tolist()])
+        if j == 0 and not greedy:
+            size = min(_RK_BLOCK, config.max_iters - k)
+            if variant is SolverVariant.RK:
+                u = np.stack([rng.random(size) for rng in rngs])
                 picks = rk_cdf.searchsorted(u * rk_total, side="right")
                 np.minimum(picks, m - 1, out=picks)
-            elif greedy:
-                picks = np.empty((len(live), size), dtype=np.int64)
             else:
                 picks = np.tile(np.arange(k, k + size) % m, (len(live), 1))
-            record = {name: np.empty(picks.shape, dtype) for name, dtype in columns.items()}
-            record["index"] = picks
-            errs = record["err_sq"]
-            chunks.append((live, record))
-            pos = slice(None)
-
-        if greedy:
-            # Each trial's selection, drawn from its own generator as in the
-            # serial run.
-            scores = R * R
+        if new_block or j == 0:
+            segments.append((members, {name: block[:filled] for name, block in record.items()}))
+            xs, xs_prev, rs, rs_prev, score_rows, img_rows = (
+                None if block is None else list(block)
+                for block in (X, X_prev, R, R_prev, scores, img))
+            xs_new = xs_prev if momentum else xs
+            loud_rows = [None] * len(live) if loud is None else list(loud)
+            trial_rows = () if batched else range(len(live))
+            # The per-trial step reads rk and cyclic picks as Python ints.
+            pick_cols = None if picks is None or batched else picks.T.tolist()
+            # Room for the steps up to the next draw of rk picks or the last step.
+            span = (min(_RK_BLOCK, config.max_iters - k + j) - j, len(live))
+            members, record, filled = live, {name: np.empty(span, dtype)
+                                             for name, dtype in columns.items()}, 0
+            if picks is not None:
+                record["index"] = picks[:, j:].T
+            rec_index, rec_size, rec_gamma, rec_err, rec_res = map(
+                record.get, TraceRecord._fields[1:])
+            new_block = False
+        if greedy and stale:
+            np.multiply(R, R, out=scores)
             scores /= row_norms_sq
-            loud = np.abs(R) > rule.tau_res if exact else None
-            picked = [rule.select(A, R[p], scores[p], None if loud is None else loud[p], rss,
-                                  None if idx is None else idx.item(p), rngs[t])
-                      for p, (t, rss) in enumerate(zip(live.tolist(), res.tolist()))]
-            if None in picked:
-                keep = np.array([step is not None for step in picked])
-                for p in np.flatnonzero(~keep).tolist():
-                    ends[live.item(p)] = (k, "converged", X[p].copy())
-                if not keep.any():
-                    break
-                pos, (live, X, buf, R, res, X_prev, R_prev) = _keep_rows(
-                    keep, pos, (live, X, buf, R, res, X_prev, R_prev))
-                picked = [step for step in picked if step is not None]
-            idx, sizes, gammas = map(np.array, zip(*picked))
-            record["index"][pos, j] = idx
-            record["set_size"][pos, j] = sizes
-            record["gamma"][pos, j] = gammas
-        else:
-            idx = picks[pos, j]
+            if exact:
+                np.greater(np.abs(R), rule.tau_res, out=loud)
+        if momentum:
+            np.subtract(X, X_prev, out=X_prev)
+            X_prev *= beta
+            X_prev += X
+        if img is not None:
+            np.copyto(img, R)
 
-        # The scalar step's arithmetic, in its order, on every trial at once.
-        rows = dense.take(idx, axis=0)
+        # Each trial's step on Python floats, from its own rows of the blocks.
         if greedy:
-            coeff = alpha * R[np.arange(len(idx)), idx]
-        else:
-            coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[idx])
-        coeff /= row_norms_sq[idx]
-        rows *= coeff[:, None]
-        if beta != 0.0:
-            X_new = X - X_prev
-            X_new *= beta
-            X_new += X
-            X_new -= rows
-            X_prev, X = X, X_new
-        else:
-            X -= rows
-
-        if greedy:
-            # coeff * (A @ a_i) per trial, from the shared cache of row images.
-            image_rows = np.empty((len(idx), m))
-            for p, (i, c) in enumerate(zip(idx.tolist(), coeff.tolist())):
-                np.multiply(images.image(i)[1], c, out=image_rows[p])
-            if beta != 0.0:
-                R_new = R - image_rows
-                drift = R - R_prev
-                drift *= beta
-                R_new += drift
-                R_prev, R = R, R_new
+            idx, sizes, gammas = [], [], []
+        elif pick_cols:
+            idx = pick_cols[j]
+        for p in trial_rows:
+            if greedy:
+                # A converged trial records placeholders, which its trace drops.
+                i, set_size, gamma = rule.select(A, rs[p], score_rows[p], loud_rows[p], res[p],
+                                                 last[p], rngs[p]) or (0, 0, 0.0)
+                idx.append(i)
+                sizes.append(set_size)
+                gammas.append(gamma)
+                if not set_size:
+                    ends[live[p]] = (k, "converged", xs[p].copy())
+                    gone.append(p)
+                    continue
+                last[p] = i
             else:
-                R -= image_rows
-            if (k + 1) % REFRESH_EVERY == 0:
-                # Each trial's own matvec of a fresh vector, as in the serial run.
-                for p in range(len(idx)):
+                i = idx[p]
+            if keeps_r:
+                r_i = R.item(p, i)
+            else:
+                r_i = A.row_dot(i, xs[p]) - b.item(i)
+            coeff = alpha * r_i / row_norms_sq.item(i)
+            A.axpy_row(i, -coeff, xs_new[p])
+            if keeps_r:
+                rows, values = images.image(i)
+                r = img_rows[p] if momentum else rs[p]
+                r[rows] -= coeff * values
+                if support_update:
+                    r_rows = r[rows]
+                    score_rows[p][rows] = (r_rows * r_rows) / row_norms_sq[rows]
+                    if exact:
+                        loud_rows[p][rows] = np.abs(r_rows) > rule.tau_res
+        if batched:
+            column = picks[:, j]
+            rows = A.to_dense().take(column, axis=0)
+            coeff = alpha * (np.matmul(rows[:, None, :], X[:, :, None]).ravel() - b[column])
+            coeff /= row_norms_sq[column]
+            rows *= coeff[:, None]
+            X -= rows
+        if momentum:
+            X, X_prev, xs, xs_prev, xs_new = X_prev, X, xs_prev, xs, xs
+
+        if keeps_r:
+            if momentum:
+                np.subtract(R, R_prev, out=R_prev)
+                R_prev *= beta
+                R_prev += img
+                R, R_prev, rs, rs_prev = R_prev, R, rs_prev, rs
+            refresh = (k + 1) % REFRESH_EVERY == 0
+            if refresh:
+                # Each trial's own matvec of a fresh vector.
+                for p in range(len(live)):
                     R[p] = A.matvec(X[p].copy()) - b
-                    if beta != 0.0:
+                    if momentum:
                         R_prev[p] = A.matvec(X_prev[p].copy()) - b
-            res = np.matmul(R[:, None, :], R[:, :, None]).ravel()
-            record["res_sq"][pos, j] = res
-
-        np.subtract(X, x_star, out=buf)
-        np.multiply(buf, buf, out=buf)
-        err = np.add.reduce(buf, axis=1)
-        errs[pos, j] = err
+            stale = refresh or not support_update
+            # One dot per trial: at T = 1 a batched np.matmul cost more per step
+            # (about 12 us at m = 20000).
+            res = [float(r @ r) for r in rs]
+            rec_res[filled] = res
+        if greedy:
+            rec_index[filled] = idx
+            rec_size[filled] = sizes
+            rec_gamma[filled] = gammas
+        if known:
+            np.subtract(X, X_star, out=buf)
+            np.multiply(buf, buf, out=buf)
+            errs = np.add.reduce(buf, 1, None, rec_err[filled]).tolist()
+        filled += 1
         if capture_iterates:
-            for t, x in zip(live.tolist(), X):
-                iterates[t].append(x.copy())
+            for t, x_t in zip(live, xs):
+                iterates[t].append(x_t.copy())
 
-        # Division by err_denom is monotone, so the smallest error decides
-        # whether any trial is below the tolerance; NaN fails the test too.
-        if (np.minimum.reduce(err) / err_denom > rse_tol
-                and np.maximum.reduce(err + res if greedy else err) < math.inf):
-            continue
-        reasons = [_stop_reason(e, r, err_denom, res_denom, rse_tol)
-                   for e, r in zip(err.tolist(), res.tolist() if greedy else repeat(None))]
-        keep = np.array([reason is None for reason in reasons])
-        for p in np.flatnonzero(~keep).tolist():
-            ends[live.item(p)] = (k + 1, reasons[p], X[p].copy())
-        if not keep.any():
-            break
-        pos, (live, X, buf, R, res, idx, X_prev, R_prev) = _keep_rows(
-            keep, pos, (live, X, buf, R, res, idx, X_prev, R_prev))
+        # The metrics are sums of squares, so a finite total proves every
+        # trial's finite, and the smallest error decides whether any trial is
+        # below the tolerance.
+        if known:
+            lowest = min(errs) / err_denom
+            total = sum(errs) + sum(res) if keeps_r else sum(errs)
+        else:
+            lowest, total = min(res) / res_denom, sum(res)
+        if not (lowest > rse_tol and total < math.inf):
+            for p, t in enumerate(live):
+                reason = _stop_reason(errs[p] if known else None, res[p] if keeps_r else None,
+                                      err_denom, res_denom, rse_tol)
+                if reason is not None and t not in ends:
+                    ends[t] = (k + 1, reason, xs[p].copy())
+                    gone.append(p)
+        if gone:
+            if len(gone) == len(live):
+                break
+            keep = [p for p in range(len(live)) if p not in gone]
+            live, rngs, res, last = (values and [values[p] for p in keep]
+                                     for values in (live, rngs, res, last))
+            X, X_prev, X_star, buf, R, R_prev, img, scores, loud, picks = (
+                None if block is None else block[keep]
+                for block in (X, X_prev, X_star, buf, R, R_prev, img, scores, loud, picks))
+            gone = []
+            new_block = True
 
-    for p, t in enumerate(live.tolist()):
-        ends.setdefault(t, (steps, start.reason or "max_iters", X[p].copy()))
+    for p, t in enumerate(live):
+        ends.setdefault(t, (steps, start_reason or "max_iters", X[p].copy()))
+    parts = [{name: [np.empty(0, dtype)] for name, dtype in columns.items()} for _ in configs]
+    segments.append((members, {name: block[:filled] for name, block in record.items()}))
+    for members, blocks in segments:
+        for name, block in blocks.items():
+            for p, t in enumerate(members):
+                parts[t][name].append(block[:, p])
     traces = []
     for t, cfg in enumerate(configs):
-        k, termination, x = ends[t]
-        own = [(record, p) for members, record in chunks
-               for p in np.flatnonzero(members == t).tolist()]
-        metrics = {name: np.concatenate([record[name][p] for record, p in own])[:k]
-                   if own else [] for name in columns}
-        traces.append(_trace(problem, cfg, start, termination, x,
-                             iterates[t] if capture_iterates else None, **metrics))
-    return traces
+        k, termination, final_x = ends[t]
+        traces.append(Trace(
+            termination=termination, initial_err_sq=err_sq, initial_res_sq=res_sq,
+            final_x=final_x, config=cfg, frobenius_sq=A.frobenius_sq,
+            x_star_norm_sq=x_star_norm_sq,
+            iterates=iterates[t][:k + 1] if capture_iterates else None,
+            **{name: np.concatenate(cols)[:k] for name, cols in parts[t].items()}))
+    return traces[0] if trials is None else traces

@@ -233,7 +233,7 @@ def test_criterion_8_hand_oracle_trace():
         sigma_sq = smallest_nonzero_singular_value(A) ** 2
         factors = [1.0 - sigma_sq / g for g in gammas]
         assert abs(factors[0] - 0.8) <= 1e-12 and abs(factors[1]) <= 1e-12
-        errs = trace.err_history()
+        errs = np.concatenate(([trace.initial_err_sq], trace.err_sq))
         np.testing.assert_allclose(errs, [5.0, 1.0, 0.0], atol=1e-12)
         assert errs[1] <= factors[0] * errs[0] + 1e-12
         assert errs[2] <= factors[1] * errs[1] + 1e-12

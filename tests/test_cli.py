@@ -245,6 +245,24 @@ def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
     assert "beta = 0.4 is not below beta_upper = " in err
 
 
+@pytest.mark.parametrize("meta", ['{"variant": "grk"}', "[1, 2]", None],
+                         ids=["missing-key", "not-an-object", "bad-setting"])
+def test_certify_refuses_malformed_metadata(tmp_path, capsys, meta):
+    # Each once raised an uncaught KeyError or TypeError: exit 1, a traceback.
+    path = tmp_path / "g.csv"
+    assert main(["solve", "--m", "30", "--n", "6", "--seed", "1", "--method", "grk",
+                 "--out", str(path)]) == 0
+    first, rest = path.read_text().split("\n", 1)
+    if meta is None:
+        meta = json.dumps({**json.loads(first[1:]), "alpha": "x"})
+    path.write_text("# " + meta + "\n" + rest)
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"kaczmarz: error: {path}: ")
+
+
 @pytest.mark.parametrize("edit", ["blank", "short", "long"])
 def test_certify_refuses_ragged_trace_rows(tmp_path, capsys, edit):
     # With a blank line the trace once read as zero steps and certified.

@@ -369,6 +369,23 @@ class TestEmission:
         with pytest.raises(ValueError, match=f"line {line} has {fields} fields, expected 6"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        ('{"variant": "grk"}', "not a JSON object with the keys termination, initial_err_sq"),
+        ("[1, 2]", "not a JSON object"),
+        (None, "solver settings"),
+    ], ids=["missing-key", "not-an-object", "bad-setting"])
+    def test_malformed_metadata_refused(self, tmp_path, meta, message):
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
+        path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
+                               tmp_path / "t.csv")
+        first, rest = path.read_text().split("\n", 1)
+        if meta is None:
+            meta = json.dumps({**json.loads(first[1:]), "alpha": "x"})
+        path.write_text("# " + meta + "\n" + rest)
+        with pytest.raises(ValueError, match=message) as info:
+            read_trace_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_zero_step_rk_trace_refuses_certification_from_csv(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])
         trace = run(problem, SolverConfig(variant="rk"), x0=[1.0, 1.0])

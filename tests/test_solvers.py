@@ -18,19 +18,19 @@ from kaczmarz.linalg import (
     smallest_nonzero_singular_value,
 )
 from kaczmarz.selection import (
+    GammaMode,
     GreedyCertificateError,
     ProbabilityRule,
     sample_index,
     sampling_distribution,
 )
 from kaczmarz.solvers import (
-    _GREEDY_LOCKSTEP_TRIALS,
     _LOCKSTEP_TRIALS,
     _RK_BLOCK,
+    REFRESH_EVERY,
     SolverConfig,
     SolverVariant,
     Trace,
-    kaczmarz_step,
     run,
 )
 
@@ -84,102 +84,124 @@ class TestConfig:
         assert certify_trace(trace, sigma_sq).passed
 
 
+def err_history(trace):
+    """Squared errors [initial, after step 0, after step 1, ...]."""
+    return np.concatenate(([trace.initial_err_sq], trace.err_sq))
+
+
 def row_residual_after(problem, rec, x):
     """|<a_i, x> - b_i| for the row a record projected onto and the iterate after it."""
     return abs(problem.A.row_dot(rec.index, x) - problem.b[rec.index])
 
 
-def one_row(a_i, b_i):
-    """A single-equation system <a_i, x> = b_i for stepping on row 0."""
-    return RowAccessMatrix([a_i]), np.array([b_i], dtype=float)
+def project(x, a_i, b_i, alpha=1.0, known=False):
+    """One cyclic step from x on the system <a_i, x> = b_i; x itself when it
+    already lies on the hyperplane.  With x* known the step reads r_i from the
+    row, without it from the kept residual."""
+    A = RowAccessMatrix([a_i])
+    problem = Problem(A, [b_i], x_star=min_norm_solution(A, [b_i]) if known else None)
+    trace = run(problem, SolverConfig(variant="cyclic", alpha=alpha, max_iters=1),
+                x0=np.asarray(x, dtype=float), capture_iterates=True)
+    return trace.iterates[-1]
 
 
-def project(x, a_i, b_i, alpha=1.0):
-    A, b = one_row(a_i, b_i)
-    x = np.asarray(x, dtype=float)
-    return kaczmarz_step(A, b, 0, x, x, alpha)[0]
+KNOWN = pytest.mark.parametrize("known", [True, False], ids=["row-dot", "residual"])
 
 
+@KNOWN
 class TestKaczmarzProject:
-    def test_full_step_lands_on_hyperplane(self):
-        out = project(np.zeros(2), [0.0, 2.0], 4.0)
+    def test_full_step_lands_on_hyperplane(self, known):
+        out = project(np.zeros(2), [0.0, 2.0], 4.0, known=known)
         np.testing.assert_allclose(out, [0.0, 2.0])
 
-    def test_point_on_hyperplane_unchanged(self):
+    def test_point_on_hyperplane_unchanged(self, known):
         x = np.array([3.0, 2.0])
-        out = project(x, [0.0, 2.0], 4.0)
+        out = project(x, [0.0, 2.0], 4.0, known=known)
         np.testing.assert_allclose(out, x)
 
-    def test_half_step(self):
-        out = project(np.zeros(2), [1.0, 0.0], 1.0, alpha=0.5)
+    def test_half_step(self, known):
+        out = project(np.zeros(2), [1.0, 0.0], 1.0, alpha=0.5, known=known)
         np.testing.assert_allclose(out, [0.5, 0.0])
 
 
+def cyclic_run(rows, b, beta=0.0, alpha=1.0, x0=None, known=False, max_iters=2):
+    """A cyclic run on rows x = b that captures its iterates, one step per row in turn."""
+    A = RowAccessMatrix(rows)
+    problem = Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
+    config = SolverConfig(variant="cyclic", alpha=alpha, beta=beta, max_iters=max_iters,
+                          rse_tol=1e-300)
+    return run(problem, config, x0=x0, capture_iterates=True)
+
+
+@KNOWN
 class TestMomentumStep:
-    def test_beta_zero_matches_projection(self):
-        x, x_prev = np.array([0.3, -1.2]), np.array([5.0, 5.0])
-        A, b = one_row([1.0, 2.0], 0.7)
-        np.testing.assert_array_equal(
-            kaczmarz_step(A, b, 0, x, x_prev, 1.0, 0.0)[0],
-            project(x, [1.0, 2.0], 0.7))
+    def test_beta_zero_matches_projection(self, known):
+        # The second step, where a momentum term would first be nonzero, is the
+        # plain projection of the first step's iterate.
+        trace = cyclic_run([[1.0, 2.0], [3.0, -1.0]], [0.7, 2.0],
+                                x0=np.array([0.3, -1.2]), known=known)
+        np.testing.assert_allclose(trace.iterates[2],
+                                   project(trace.iterates[1], [3.0, -1.0], 2.0),
+                                   rtol=1e-15, atol=1e-15)
 
-    def test_hand_example(self):
-        A, b = one_row([1.0, 0.0], 1.0)
-        out, _ = kaczmarz_step(A, b, 0, np.array([0.0, 2.0]), np.zeros(2), alpha=1.0, beta=0.3)
-        np.testing.assert_allclose(out, [1.0, 2.6])
+    def test_hand_example(self, known):
+        # Step 0 projects [0, 0] onto x_2 = 2; step 1 adds 0.3 * ([0, 2] - [0, 0])
+        # and projects onto x_1 = 1.
+        trace = cyclic_run([[0.0, 1.0], [1.0, 0.0]], [2.0, 1.0], beta=0.3, known=known)
+        np.testing.assert_allclose(trace.iterates, [[0.0, 0.0], [0.0, 2.0], [1.0, 2.6]])
 
-    def test_first_step_reduces_to_projection(self):
+    def test_first_step_reduces_to_projection(self, known):
         x = np.array([1.0, -2.0])
-        A, b = one_row([0.0, 2.0], 4.0)
-        np.testing.assert_allclose(
-            kaczmarz_step(A, b, 0, x, x.copy(), 1.0, 0.9)[0],
-            project(x, [0.0, 2.0], 4.0))
+        trace = cyclic_run([[0.0, 2.0], [1.0, 1.0]], [4.0, 1.0], beta=0.9, x0=x,
+                                known=known, max_iters=1)
+        np.testing.assert_allclose(trace.iterates[1], project(x, [0.0, 2.0], 4.0))
 
 
 class TestResidualUpdate:
-    def test_projection_zeroes_row(self):
-        problem = random_problem(10, 4, seed=2)
-        A, b = problem.A, problem.b
-        x = np.zeros(4)
-        r = A.matvec(x) - b
-        _, r_new = kaczmarz_step(A, b, 3, x, x, r=r)
-        assert abs(r_new[3]) <= 1e-12 * np.max(np.abs(b))
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
+    def test_projection_zeroes_row(self, storage):
+        # Exact-mode gamma sums the rows whose kept residual is above the zero
+        # test, so after the first step it leaves out just the projected row.
+        base = random_problem(10, 4, seed=2)
+        A = RowAccessMatrix(storage(base.A.to_dense()))
+        trace = run(Problem(A, base.b), SolverConfig(variant="grk", max_iters=2))
+        assert trace.iterations == 2
+        np.testing.assert_allclose(trace.gamma[0], A.frobenius_sq, rtol=1e-14)
+        i = trace.index[0]
+        np.testing.assert_allclose(trace.gamma[1], A.frobenius_sq - A.row_norms_sq[i],
+                                   rtol=1e-14)
 
-    def test_matches_rank_one_formula_3x3(self):
+    @KNOWN
+    def test_matches_rank_one_formula_3x3(self, known):
         rng = np.random.default_rng(8)
         mat = rng.standard_normal((3, 3))
-        A = RowAccessMatrix(mat)
         b = rng.standard_normal(3)
-        x = rng.standard_normal(3)
-        r = mat @ x - b
-        i, alpha = 1, 0.8
-        scale = alpha * r[i] / A.row_norms_sq[i]
-        x_new = x - scale * mat[i]
-        out_x, out_r = kaczmarz_step(A, b, i, x, x, alpha, r=r)
-        np.testing.assert_allclose(out_x, x_new, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(out_r, mat @ x_new - b, rtol=1e-12, atol=1e-14)
-        # Without the residual the step reads r_i from the row alone.
-        np.testing.assert_allclose(kaczmarz_step(A, b, i, x, x, alpha)[0], x_new,
-                                   rtol=1e-14, atol=1e-15)
+        x0 = rng.standard_normal(3)
+        alpha = 0.8
+        trace = cyclic_run(mat, b, alpha=alpha, x0=x0, known=known)
+        x = x0
+        for i, x_new in enumerate(trace.iterates[1:]):
+            r = mat @ x - b
+            x = x - alpha * r[i] / (mat[i] @ mat[i]) * mat[i]
+            np.testing.assert_allclose(x_new, x, rtol=1e-13, atol=1e-14)
+            if not known:
+                # The kept residual after each rank-1 update; step 1 read its row 1.
+                np.testing.assert_allclose(trace.res_sq[i], np.sum((mat @ x_new - b) ** 2),
+                                           rtol=1e-12)
 
     def test_drift_after_500_random_steps(self):
+        # rk draws the same rows with and without x*; without it each step reads
+        # r_i from the residual kept by 500 rank-1 updates.
         problem = random_problem(30, 12, seed=9)
-        A, b = problem.A, problem.b
-        rng = np.random.default_rng(10)
-        x = np.zeros(12)
-        r = A.matvec(x) - b
-        for _ in range(500):
-            i = int(rng.integers(30))
-            x, r = kaczmarz_step(A, b, i, x, x, r=r)
-        exact = A.matvec(x) - b
-        assert np.linalg.norm(r - exact) <= 1e-10 * max(1.0, np.linalg.norm(exact))
-
-    def test_momentum_needs_previous_residual(self):
-        problem = random_problem(5, 3, seed=1)
-        x = np.zeros(3)
-        r = problem.A.matvec(x) - problem.b
-        with pytest.raises(ValueError):
-            kaczmarz_step(problem.A, problem.b, 0, x, x, 0.5, beta=0.4, r=r)
+        config = SolverConfig(variant="rk", seed=10, max_iters=500, rse_tol=1e-300)
+        kept = run(Problem(problem.A, problem.b), config)
+        exact = run(problem, config)
+        assert kept.iterations == exact.iterations == 500
+        assert kept.selections() == exact.selections()
+        x = kept.final_x
+        assert np.linalg.norm(x - exact.final_x) <= 1e-10 * np.linalg.norm(x)
+        norm = np.linalg.norm(problem.A.matvec(x) - problem.b)
+        assert abs(np.sqrt(kept.res_sq[-1]) - norm) <= 1e-10 * max(1.0, norm)
 
 
 class TestRunHandTrace:
@@ -192,7 +214,7 @@ class TestRunHandTrace:
         assert [rec.set_size for rec in trace.records] == [1, 1]
         np.testing.assert_allclose(trace.iterates[1], [0.0, 2.0])
         np.testing.assert_allclose(trace.iterates[2], [1.0, 2.0])
-        np.testing.assert_allclose(trace.err_history(), [5.0, 1.0, 0.0])
+        np.testing.assert_allclose(err_history(trace), [5.0, 1.0, 0.0])
 
     def test_start_at_solution_terminates_immediately(self):
         for variant in SolverVariant:
@@ -244,7 +266,7 @@ class TestRunBehavior:
         for alpha in (0.5, 1.0, 1.5):
             trace = run(problem, SolverConfig(variant="grk", alpha=alpha, seed=3,
                                               max_iters=400))
-            errs = trace.err_history()
+            errs = err_history(trace)
             assert np.all(np.diff(errs) <= 1e-12 * errs[0])
 
     def test_zeroed_previous_row(self):
@@ -354,30 +376,97 @@ class TestGammaModeOrdering:
             last = i
 
 
-def reference_row_action(problem, variant, seed, max_iters, rse_tol):
-    """rk/cyclic as a loop that keeps the full residual r = Ax - b by rank-1 updates.
+def reference_row_action(problem, config, x0=None, capture=False, keep_residual=None):
+    """One run of ``config`` as a plain loop over full vectors; returns its Trace.
 
-    rk draws one ``rng.random()`` per step."""
+    It keeps the residual r = Ax - b where ``keep_residual`` says, by default
+    where ``run`` keeps it (grk, mgrk and runs without x*), by full rank-1 and
+    momentum updates, recomputed every ``REFRESH_EVERY`` steps; otherwise a step
+    reads r_i from the row.  Greedy steps recompute the scores and the mask from
+    r and call the four selection functions themselves, by their ``solvers``
+    names, so a test that patches one patches it here too.  rk draws one
+    ``rng.random()`` per step.
+    """
     A, b, x_star = problem.A, problem.b, problem.x_star
     m, n = A.shape
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(A.row_norms_sq)
-    x = np.zeros(n)
-    r = A.matvec(x) - b
-    selections = []
-    for k in range(max_iters):
-        if variant == "rk":
+    mat, norms = A.to_dense(), A.row_norms_sq
+    greedy = config.variant in ("grk", "mgrk")
+    if keep_residual is None:
+        keep_residual = greedy or x_star is None
+    mode = config.resolved_gamma_mode()
+    tau = 1e-14 * max(1.0, np.max(np.abs(b)))
+    err_denom = (float(x_star @ x_star) or 1.0) if x_star is not None else None
+    res_denom = float(b @ b) or 1.0
+    rng = np.random.default_rng(config.seed)
+    cdf = np.cumsum(norms)
+
+    def stop(err_sq, res_sq):
+        if not np.isfinite((err_sq or 0.0) + (res_sq or 0.0)):
+            return "nonfinite"
+        if err_sq is not None:
+            return "rse_tol" if err_sq / err_denom <= config.rse_tol else None
+        return "residual_tol" if res_sq / res_denom <= config.rse_tol else None
+
+    x = x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = r_prev = A.matvec(x) - b
+    initial_err = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
+    initial_res = res_sq = float(r @ r)
+    termination = stop(initial_err, res_sq)
+    steps = {name: [] for name in ("index", "set_size", "gamma", "err_sq", "res_sq")}
+    iterates = [x.copy()]
+    last = None
+    for k in range(config.max_iters if termination is None else 0):
+        if greedy:
+            scores = r * r / norms
+            loud = np.abs(r) > tau
+            if not loud.any():
+                termination = "converged"
+                break
+            gamma = solvers.active_set_gamma(A, mode, loud, last)
+            try:
+                indices = solvers.greedy_set(A, scores, res_sq, gamma, config.theta)
+            except GreedyCertificateError:
+                if mode is not GammaMode.EXACT:
+                    raise
+                termination = "converged"
+                break
+            probs = solvers.sampling_distribution(r, indices, config.prob_rule)
+            i = int(indices[solvers.sample_index(probs, rng)])
+            steps["set_size"].append(len(indices))
+            steps["gamma"].append(gamma)
+        elif config.variant == "rk":
             i = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), m - 1)
         else:
             i = k % m
-        coeff = r[i] / A.row_norms_sq[i]
-        x = x - coeff * A.to_dense()[i]
-        rows, values = A.row_image(i)
-        r[rows] -= coeff * values
-        selections.append(i)
-        if np.sum((x - x_star) ** 2) / (x_star @ x_star) <= rse_tol:
+        r_i = r[i] if keep_residual else A.row_dot(i, x) - b[i]
+        coeff = config.alpha * r_i / norms[i]
+        x_new = (x + config.beta * (x - x_prev) if config.beta else x) - coeff * mat[i]
+        r_new = r - coeff * A.matvec(mat[i])
+        if config.beta:
+            r_new = r_new + config.beta * (r - r_prev)
+        if (k + 1) % REFRESH_EVERY == 0:
+            r_new, r = A.matvec(x_new) - b, A.matvec(x) - b
+        x_prev, x, r_prev, r = x, x_new, r, r_new
+        last = i
+        steps["index"].append(i)
+        err_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
+        res_sq = float(r @ r)
+        steps["err_sq"].append(err_sq)
+        steps["res_sq"].append(res_sq)
+        iterates.append(x.copy())
+        termination = stop(err_sq, res_sq if keep_residual else None)
+        if termination is not None:
             break
-    return selections, x
+    recorded = {"index": True, "set_size": greedy, "gamma": greedy,
+                "err_sq": x_star is not None, "res_sq": keep_residual}
+    return Trace(termination=termination or "max_iters", initial_err_sq=initial_err,
+                 initial_res_sq=initial_res,
+                 final_x=x.copy(), config=config, frobenius_sq=A.frobenius_sq,
+                 x_star_norm_sq=float(x_star @ x_star) if x_star is not None else None,
+                 iterates=iterates if capture else None,
+                 **{name: np.array(values, dtype=np.int64 if name in ("index", "set_size")
+                                   else np.float64) if recorded[name] else None
+                    for name, values in steps.items()})
 
 
 @pytest.mark.parametrize("variant, beta", [("cyclic", 0.0), ("rk", 0.0), ("grk", 0.0),
@@ -411,33 +500,32 @@ class TestResidualFreePath:
     def test_matches_full_residual_reference(self, variant, storage):
         problem = (random_problem(80, 12, seed=30, kappa=4.0) if storage == "dense"
                    else sparse_problem(80, 12, seed=31))
-        trace = run(problem, SolverConfig(variant=variant, seed=7, max_iters=20_000,
-                                          rse_tol=1e-10))
-        selections, x_ref = reference_row_action(problem, variant, 7, 20_000, 1e-10)
-        assert trace.termination == "rse_tol"
-        assert trace.selections() == selections
+        config = SolverConfig(variant=variant, seed=7, max_iters=20_000, rse_tol=1e-10)
+        trace = run(problem, config)
+        reference = reference_row_action(problem, config, keep_residual=True)
+        assert trace.termination == reference.termination == "rse_tol"
+        assert trace.selections() == reference.selections()
+        x_ref = reference.final_x
         assert np.linalg.norm(trace.final_x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     def test_block_draws_cross_blocks_and_stop_mid_block(self):
         problem = random_problem(80, 12, seed=30, kappa=20.0)
-        trace = run(problem, SolverConfig(variant="rk", seed=7, max_iters=20_000, rse_tol=1e-12))
-        selections, x_ref = reference_row_action(problem, "rk", 7, 20_000, 1e-12)
+        config = SolverConfig(variant="rk", seed=7, max_iters=20_000, rse_tol=1e-12)
+        trace = run(problem, config)
         assert trace.termination == "rse_tol"
         assert trace.iterations > 3 * _RK_BLOCK and trace.iterations % _RK_BLOCK != 0
-        assert trace.selections() == selections
-        assert np.linalg.norm(trace.final_x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert_same_run(trace, reference_row_action(problem, config))
 
     @pytest.mark.parametrize("max_iters", [1, _RK_BLOCK - 1, _RK_BLOCK, _RK_BLOCK + 1])
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_block_draws_up_to_max_iters(self, max_iters, storage):
         problem = (random_problem(80, 12, seed=30, kappa=20.0) if storage == "dense"
                    else sparse_problem(80, 12, seed=31))
-        trace = run(problem, SolverConfig(variant="rk", seed=11, max_iters=max_iters,
-                                          rse_tol=1e-300))
-        selections, _ = reference_row_action(problem, "rk", 11, max_iters, 1e-300)
+        config = SolverConfig(variant="rk", seed=11, max_iters=max_iters, rse_tol=1e-300)
+        trace = run(problem, config)
         assert trace.termination == "max_iters"
         assert trace.iterations == max_iters
-        assert trace.selections() == selections
+        assert_same_run(trace, reference_row_action(problem, config))
 
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
     def test_records_carry_no_residual(self, variant):
@@ -473,7 +561,7 @@ class TestResidualFreePath:
         problem = Problem(A, b, x_star=min_norm_solution(A, b))
         trace = run(problem, SolverConfig(variant=variant, alpha=alpha, seed=seed,
                                           max_iters=200))
-        errs = trace.err_history()
+        errs = err_history(trace)
         assert np.all(np.diff(errs) <= 1e-12 * errs[0])
 
 
@@ -608,25 +696,20 @@ def assert_same_run(trace, reference):
                    for x, y in zip(trace.iterates, reference.iterates))
 
 
-@pytest.fixture
-def serial_run(monkeypatch):
-    """The serial ``_run``; a trial of ``run(..., trials=T)`` that calls it fails the test."""
-    original = solvers._run
-
-    def serial(*args):
-        pytest.fail("a trial ran serially")
-
-    monkeypatch.setattr(solvers, "_run", serial)
-    return original
+def separate_run(problem, config, x0=None, capture=False):
+    """A run of one trial, checked against the reference loop."""
+    trace = run(problem, config, x0=x0, capture_iterates=capture)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_run(trace, reference_row_action(problem, config, x0=x0, capture=capture))
+    return trace
 
 
 def assert_trials_equal_separate_runs(problem, config, x0, capture, trials):
     traces = run(problem, config, x0=x0, capture_iterates=capture, trials=trials)
     assert len(traces) == trials
     for t, trace in enumerate(traces):
-        reference = run(problem, replace(config, seed=config.seed + t), x0=x0,
-                        capture_iterates=capture)
-        assert_same_run(trace, reference)
+        assert_same_run(trace, separate_run(problem, replace(config, seed=config.seed + t),
+                                            x0, capture))
 
 
 # Greedy settings the trials tests draw from; lastrow needs alpha = 1 and beta = 0.
@@ -670,11 +753,11 @@ class TestTrials:
            gamma_mode=st.sampled_from(["exact", "lastrow", "frobenius"]),
            prob_rule=PROB_RULES, alpha=ALPHAS, start=STARTS,
            capture=st.booleans(), max_iters=st.sampled_from([7, 3000]),
-           trials=st.integers(_GREEDY_LOCKSTEP_TRIALS - 1, 9))
+           trials=st.integers(2, 9))
     def test_greedy_trials_equal_separate_runs(self, seed, m, n, variant_beta, gamma_mode,
                                                prob_rule, alpha, start, capture, max_iters,
                                                trials):
-        # Dense with x* known: the runs that step in lockstep from the cutoff on.
+        # Dense with x* known, every gamma mode.
         variant, beta = variant_beta
         assume(gamma_mode != "lastrow" or (alpha == 1.0 and beta == 0.0))
         problem = gaussian_problem(seed, m, n, sparsity=0.5)
@@ -698,8 +781,8 @@ class TestTrials:
             assert len({k // block for k in steps}) > 1
         for t, trace in enumerate(traces):
             assert trace.termination == "rse_tol"
-            assert_same_run(trace, run(problem, replace(config, seed=7 + t),
-                                       capture_iterates=True))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=7 + t),
+                                                capture=True))
 
     def test_diverging_trials_end_nonfinite(self):
         problem = random_problem(30, 6, seed=34, kappa=3.0)
@@ -710,56 +793,51 @@ class TestTrials:
         for t, trace in enumerate(traces):
             assert trace.termination == "nonfinite"
             with np.errstate(over="ignore", invalid="ignore"):
-                reference = run(problem, replace(config, seed=t))
-            assert_same_run(trace, reference)
+                assert_same_run(trace, separate_run(problem, replace(config, seed=t)))
 
     @pytest.mark.parametrize("variant, alpha, beta", [("grk", 3.0, 0.0), ("mgrk", 1.0, 3.0)])
-    def test_diverging_greedy_trials_end_nonfinite(self, serial_run, variant, alpha, beta):
+    def test_diverging_greedy_trials_end_nonfinite(self, variant, alpha, beta):
         problem = random_problem(30, 6, seed=34, kappa=3.0)
         config = SolverConfig(variant=variant, alpha=alpha, beta=beta, max_iters=100_000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+            traces = run(problem, config, trials=4)
         for t, trace in enumerate(traces):
             assert trace.termination == "nonfinite"
-            with np.errstate(over="ignore", invalid="ignore"):
-                reference = serial_run(problem, replace(config, seed=t), None, False)
-            assert_same_run(trace, reference)
+            assert_same_run(trace, separate_run(problem, replace(config, seed=t)))
 
-    @pytest.mark.parametrize("variant, known, storage, beta, lockstep", [
+    @pytest.mark.parametrize("variant, known, storage, beta, batched", [
         ("rk", True, "dense", 0.0, True), ("cyclic", True, "dense", 0.0, True),
-        ("grk", True, "dense", 0.0, True), ("mgrk", True, "dense", 0.3, True),
+        ("grk", True, "dense", 0.0, False), ("mgrk", True, "dense", 0.3, False),
         ("rk", False, "dense", 0.0, False), ("grk", False, "dense", 0.0, False),
         ("rk", True, "csr", 0.0, False), ("grk", True, "csr", 0.0, False),
         ("cyclic", True, "dense", 0.3, False)])
-    def test_lockstep_from_the_cutoff(self, monkeypatch, variant, known, storage, beta,
-                                      lockstep):
-        # Only dense runs with x* known step in lockstep, rk and cyclic ones without
-        # momentum; greedy variants have their own cutoff.
+    def test_batched_form_from_the_cutoff(self, monkeypatch, variant, known, storage, beta,
+                                          batched):
+        # Only dense rk and cyclic trials without momentum or residual take the
+        # batched form, from the cutoff on; it updates the iterates without axpy_row.
         problem = random_problem(40, 8, seed=3, kappa=3.0)
         A = problem.A if storage == "dense" else RowAccessMatrix(sp.csr_array(problem.A.to_dense()))
         problem = Problem(A, problem.b, x_star=problem.x_star if known else None)
-        serial, one_trial = [], solvers._run
+        updates, axpy_row = [], RowAccessMatrix.axpy_row
 
-        def counted(problem, config, *args):
-            serial.append(config.seed)
-            return one_trial(problem, config, *args)
+        def counted(self, i, coeff, out):
+            updates.append(i)
+            return axpy_row(self, i, coeff, out)
 
-        monkeypatch.setattr(solvers, "_run", counted)
-        cutoff = _GREEDY_LOCKSTEP_TRIALS if variant in ("grk", "mgrk") else _LOCKSTEP_TRIALS
+        monkeypatch.setattr(RowAccessMatrix, "axpy_row", counted)
         config = SolverConfig(variant=variant, beta=beta, seed=5, max_iters=500)
-        run(problem, config, trials=cutoff - 1)
-        assert serial == list(range(5, 5 + cutoff - 1))
-        serial.clear()
-        assert len(run(problem, config, trials=cutoff)) == cutoff
-        assert serial == ([] if lockstep else list(range(5, 5 + cutoff)))
+        for trials, per_trial in ((_LOCKSTEP_TRIALS - 1, True), (_LOCKSTEP_TRIALS, not batched)):
+            updates.clear()
+            traces = run(problem, config, trials=trials)
+            steps = [i for trace in traces for i in trace.selections()]
+            assert sorted(updates) == (sorted(steps) if per_trial else [])
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
             run(DIAG_PROBLEM, SolverConfig(), trials=0)
 
-    def test_lockstep_traces_round_trip_and_refuse_certification(self, tmp_path,
-                                                                 monkeypatch):
+    def test_rk_trials_round_trip_and_refuse_certification(self, tmp_path, monkeypatch):
         problem = random_problem(60, 10, seed=4, kappa=3.0)
         traces = run(problem, SolverConfig(variant="rk", seed=2, max_iters=4000), trials=4)
         for t, trace in enumerate(traces):
@@ -775,47 +853,47 @@ class TestTrials:
 
 
     @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
-    def test_greedy_trials_past_the_residual_refresh(self, serial_run, variant, beta):
-        # 1500 steps: a residual refresh at step 1000 and a second chunk of records.
+    def test_greedy_trials_past_the_residual_refresh(self, variant, beta):
+        # 1500 steps: a residual refresh at step 1000.
         problem = random_problem(60, 10, seed=31, kappa=100.0)
         config = SolverConfig(variant=variant, beta=beta, seed=3, max_iters=1500)
-        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+        traces = run(problem, config, trials=4)
         for t, trace in enumerate(traces):
             assert trace.termination == "max_iters" and trace.iterations == 1500
-            assert_same_run(trace, serial_run(problem, replace(config, seed=3 + t), None, False))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=3 + t)))
 
     @pytest.mark.parametrize("prob_rule", ["residual", "uniform"])
     @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
-    def test_greedy_trials_with_large_sets(self, serial_run, prob_rule, variant, beta):
+    def test_greedy_trials_with_large_sets(self, prob_rule, variant, beta):
         # Sets of dozens of rows, of different sizes in one step's trials.
         problem = random_problem(400, 20, seed=9, kappa=5.0)
         config = SolverConfig(variant=variant, beta=beta, theta=0.1, prob_rule=prob_rule,
                               seed=11, max_iters=300)
-        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS + 1)
+        traces = run(problem, config, trials=5)
         assert max(trace.set_size.max() for trace in traces) > 64
         for t, trace in enumerate(traces):
-            assert_same_run(trace, serial_run(problem, replace(config, seed=11 + t), None, False))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=11 + t)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("variant, gamma_mode, beta", [
         ("grk", "exact", 0.0), ("grk", "lastrow", 0.0), ("grk", "frobenius", 0.0),
         ("mgrk", "exact", 0.3), ("mgrk", "lastrow", 0.0), ("mgrk", "frobenius", 0.3)])
-    def test_converged_trials_leave_the_block(self, serial_run, seed, variant, gamma_mode, beta):
+    def test_converged_trials_leave_the_block(self, seed, variant, gamma_mode, beta):
         # The rounding-floor systems: every trial ends converged at its own step,
-        # most of them mid-chunk, and the others keep stepping.
+        # and the others keep stepping.
         problem = rounding_floor_problem(seed, known=True)
         config = SolverConfig(variant=variant, gamma_mode=gamma_mode, beta=beta,
                               rse_tol=1e-300, seed=seed)
-        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS + 2)
+        traces = run(problem, config, trials=6)
         assert len({trace.iterations for trace in traces}) > 1
         for t, trace in enumerate(traces):
             assert trace.termination == "converged"
-            assert_same_run(trace, serial_run(problem, replace(config, seed=seed + t), None, False))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=seed + t)))
 
     @pytest.mark.parametrize("gamma_mode", ["exact", "lastrow", "frobenius"])
-    def test_certificate_error_as_in_serial_runs(self, monkeypatch, serial_run, gamma_mode):
+    def test_certificate_error_as_in_separate_runs(self, monkeypatch, gamma_mode):
         # A failed certificate ends an exact-mode run converged and raises in the
-        # other modes, for lockstep trials as for a serial run.
+        # other modes, for trials as for a separate run.
         problem = random_problem(40, 8, seed=5, kappa=3.0)
         original = solvers.greedy_set
 
@@ -828,30 +906,31 @@ class TestTrials:
         config = SolverConfig(variant="grk", gamma_mode=gamma_mode, seed=1)
         if gamma_mode != "exact":
             with pytest.raises(GreedyCertificateError):
-                serial_run(problem, config, None, False)
+                run(problem, config)
             with pytest.raises(GreedyCertificateError):
-                run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+                run(problem, config, trials=4)
             return
-        traces = run(problem, config, trials=_GREEDY_LOCKSTEP_TRIALS)
+        traces = run(problem, config, trials=4)
         for t, trace in enumerate(traces):
             assert trace.termination == "converged"
-            assert_same_run(trace, serial_run(problem, replace(config, seed=1 + t), None, False))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=1 + t)))
 
     @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
-    def test_greedy_trials_capture_iterates(self, serial_run, variant, beta):
+    def test_greedy_trials_capture_iterates(self, variant, beta):
         problem = random_problem(50, 8, seed=6, kappa=4.0)
         config = SolverConfig(variant=variant, beta=beta, alpha=0.7, seed=8)
-        traces = run(problem, config, capture_iterates=True, trials=_GREEDY_LOCKSTEP_TRIALS + 1)
+        traces = run(problem, config, capture_iterates=True, trials=5)
         for t, trace in enumerate(traces):
             assert len(trace.iterates) == trace.iterations + 1
-            assert_same_run(trace, serial_run(problem, replace(config, seed=8 + t), None, True))
+            assert_same_run(trace, separate_run(problem, replace(config, seed=8 + t),
+                                                capture=True))
 
     @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
-    def test_lockstep_greedy_traces_round_trip(self, tmp_path, serial_run, variant, beta):
+    def test_greedy_trials_round_trip(self, tmp_path, variant, beta):
         problem = random_problem(60, 10, seed=4, kappa=3.0)
         sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
         traces = run(problem, SolverConfig(variant=variant, beta=beta, seed=2),
-                     trials=_GREEDY_LOCKSTEP_TRIALS)
+                     trials=4)
         for t, trace in enumerate(traces):
             loaded = read_trace_csv(write_trace_csv(trace, tmp_path / f"{t}.csv"))
             assert repr(loaded.records) == repr(trace.records)
@@ -861,10 +940,10 @@ class TestTrials:
 
     @pytest.mark.parametrize("variant, beta, gamma_mode", [
         ("grk", 0.0, None), ("grk", 0.0, "lastrow"), ("mgrk", 0.4, None)])
-    def test_lockstep_calls_the_selection_functions_as_serial_runs_do(
-            self, monkeypatch, serial_run, variant, beta, gamma_mode):
-        # The benchmark's selection spans wrap these module names; a lockstep run
-        # makes one call to each per trial and step, as the serial runs do.
+    def test_trials_call_the_selection_functions_as_separate_runs_do(
+            self, monkeypatch, variant, beta, gamma_mode):
+        # The benchmark's selection spans wrap these module names; a run of T
+        # trials makes one call to each per trial and step, as separate runs do.
         calls = Counter()
         for name in ("greedy_set", "active_set_gamma", "sampling_distribution",
                      "sample_index"):
@@ -876,16 +955,15 @@ class TestTrials:
         problem = rounding_floor_problem(0, known=True)
         config = SolverConfig(variant=variant, beta=beta, gamma_mode=gamma_mode, seed=4,
                               rse_tol=1e-300)
-        trials = _GREEDY_LOCKSTEP_TRIALS + 1
-        serial = [serial_run(problem, replace(config, seed=4 + t), None, False)
-                  for t in range(trials)]
+        trials = 5
+        separate = [run(problem, replace(config, seed=4 + t)) for t in range(trials)]
         expected = calls.copy()
         calls.clear()
         run(problem, config, trials=trials)
         assert calls == expected
         # Each step calls all four; a run that ends converged may call the first
         # two once more.
-        steps = sum(trace.iterations for trace in serial)
+        steps = sum(trace.iterations for trace in separate)
         assert expected["sample_index"] == expected["sampling_distribution"] == steps
         assert steps <= expected["greedy_set"] <= expected["active_set_gamma"] <= steps + trials
 
