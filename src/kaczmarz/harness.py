@@ -49,7 +49,11 @@ __all__ = [
     "read_trace_csv",
 ]
 
-# Dense SVD for x* is only attempted up to this size.
+# The largest min(m, n) for which the harness runs a dense SVD oracle: x* of a
+# Matrix Market problem (``min_norm_solution`` in ``load_problem_from_file``)
+# and sigma_min for certification (``smallest_nonzero_singular_value`` in
+# ``run_experiment``).  Random problems take x* from their own factors, so
+# their x* costs no SVD at any size.
 ORACLE_SIZE_LIMIT = 2000
 
 
@@ -75,8 +79,10 @@ def gen_random_problem(spec: RandomProblemSpec) -> Problem:
 
     U (m x r) and V (n x r) come from thin QR of standard Gaussian matrices,
     D is diagonal with entries 1 + (kappa - 1) * uniform(0, 1).  The right-hand
-    side is b = A x_true for a standard Gaussian x_true, and the stored
-    reference solution is the minimum-norm one.
+    side is b = A x_true for a standard Gaussian x_true.  The stored reference
+    solution is the minimum-norm one, taken from the factors without an SVD:
+    A^+ = V D^-1 U^T, so A^+ b = V D^-1 U^T U D V^T x_true = V V^T x_true, the
+    projection of x_true onto Range(A^T), for every rank and shape.
     """
     rng = np.random.default_rng(spec.seed)
     u, _ = np.linalg.qr(rng.standard_normal((spec.m, spec.r)))
@@ -86,7 +92,7 @@ def gen_random_problem(spec: RandomProblemSpec) -> Problem:
     x_true = rng.standard_normal(spec.n)
     b = a @ x_true
     matrix = RowAccessMatrix(a)
-    return Problem(matrix, b, min_norm_solution(matrix, b))
+    return Problem(matrix, b, v @ (v.T @ x_true))
 
 
 # -- Matrix Market ----------------------------------------------------------
@@ -381,6 +387,32 @@ def _column(texts: tuple[str, ...], parse) -> np.ndarray:
                     dtype=np.int64 if parse is int else np.float64)
 
 
+def _trace_metadata(path: Path, meta: dict) -> dict:
+    """The metadata line's ``Trace`` fields, checked: each metric a JSON number,
+    null only for ``initial_err_sq`` and ``x_star_norm_sq`` and then for both
+    (a run without x*), and ``termination`` one of ``Trace.TERMINATIONS``."""
+    values = {}
+    for name in _TRACE_METADATA:
+        value = meta[name]
+        if name == "termination":
+            if value not in Trace.TERMINATIONS:
+                raise ValueError(f"{path}: the metadata line's termination {json.dumps(value)} "
+                                 f"is not one of {', '.join(Trace.TERMINATIONS)}")
+        elif value is not None:
+            # JSON true and false load as bool, a subclass of int.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{path}: the metadata line's {name} is "
+                                 f"{json.dumps(value)}, not a number")
+            value = float(value)
+        values[name] = value
+    nulls = [name for name in _TRACE_METADATA if values[name] is None]
+    if nulls not in ([], ["initial_err_sq", "x_star_norm_sq"]):
+        raise ValueError(f"{path}: the metadata line's {' and '.join(nulls)} "
+                         f"{'is' if len(nulls) == 1 else 'are'} null; only initial_err_sq "
+                         "and x_star_norm_sq may be, and then both")
+    return values
+
+
 def read_trace_csv(path) -> Trace:
     """Rebuild a trace from ``write_trace_csv`` output.
 
@@ -391,7 +423,8 @@ def read_trace_csv(path) -> Trace:
     variants or without x*.  Iterates and ``final_x`` are not stored in the
     file.  A row whose field count differs from the header's, a blank line
     included, raises ``ValueError`` naming its line; so does a metadata line
-    that is not a JSON object of the trace fields or holds a bad setting.
+    that is not a JSON object of the trace fields or holds a bad setting, and
+    one whose trace fields ``_trace_metadata`` refuses names the field.
     """
     path = Path(path)
     with path.open() as fh:
@@ -402,6 +435,7 @@ def read_trace_csv(path) -> Trace:
         if not (isinstance(meta, dict) and meta.keys() >= set(_TRACE_METADATA)):
             raise ValueError(f"{path}: the metadata line is not a JSON object with the keys "
                              f"{', '.join(_TRACE_METADATA)}")
+        values = _trace_metadata(path, meta)
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:
             raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
@@ -421,11 +455,10 @@ def read_trace_csv(path) -> Trace:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: the metadata line's solver settings: {exc}") from None
     greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    known = meta["initial_err_sq"] is not None
+    known = values["initial_err_sq"] is not None
     recorded = {"index": True, "set_size": greedy, "gamma": greedy, "err_sq": known,
                 "res_sq": greedy or not known}
     steps = {name: _column(texts, int if name in ("index", "set_size") else float)
              if recorded[name] else None
              for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
-    return Trace(final_x=None, config=config, **steps,
-                 **{name: meta[name] for name in _TRACE_METADATA})
+    return Trace(final_x=None, config=config, **steps, **values)

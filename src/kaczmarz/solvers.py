@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, repeat, starmap
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -133,16 +133,23 @@ class Trace:
     metric the run does not record is None for the whole run: ``set_size`` and
     ``gamma`` for rk and cyclic, ``err_sq`` without x*, ``res_sq`` where the
     run keeps no full residual.  ``records`` builds the ``TraceRecord`` list
-    from the arrays each time it is read.
+    from the arrays each time it is read.  ``res_sq`` and ``initial_res_sq``
+    are numpy's pairwise sums of r_i^2, never a BLAS dot, so a CSR trace does
+    not depend on the BLAS thread count; a dense greedy trace still does,
+    through the GEMV row images.
 
-    ``termination`` is ``rse_tol`` (error below ``config.rse_tol``),
-    ``residual_tol`` (no x*, residual below ``config.rse_tol``), ``converged``,
-    ``max_iters`` or ``nonfinite`` (a metric overflowed).  ``converged`` ends
-    a greedy run at the rounding floor: either every |r_i| is at most
-    ``1e-14 * max(1, ||b||_inf)``, or, in exact gamma mode, the rows below
-    that level carry so much of ||r||^2 that no row above it reaches the
-    mean level ||r||^2/gamma, which sums only over the rows above it.
+    ``termination`` is one of ``TERMINATIONS``: ``rse_tol`` (error below
+    ``config.rse_tol``), ``residual_tol`` (no x*, residual below
+    ``config.rse_tol``), ``converged``, ``max_iters`` or ``nonfinite`` (a
+    metric overflowed).  ``converged`` ends a greedy run at the rounding
+    floor: either every |r_i| is at most ``1e-14 * max(1, ||b||_inf)``, or,
+    in exact gamma mode, the rows below that level carry so much of ||r||^2
+    that no row above it reaches the mean level ||r||^2/gamma, which sums
+    only over the rows above it.
     """
+
+    TERMINATIONS: ClassVar[tuple[str, ...]] = (
+        "rse_tol", "residual_tol", "converged", "max_iters", "nonfinite")
 
     termination: str
     initial_err_sq: float | None
@@ -292,11 +299,15 @@ def run(
     Python floats and updates its row with ``axpy_row``.  Dense ``rk`` and
     ``cyclic`` trials without momentum or residual instead take one batched
     ``np.matmul`` for every <a_i, x> from T = ``_LOCKSTEP_TRIALS`` on, where
-    it beats the per-trial form; both give the same bits.  Each trial's
-    ``r @ r`` is its own dot, and one row-wise ``np.add.reduce`` gives every
-    ``err_sq`` as the 1-D form does, so a trial's trace equals a separate run
-    with its seed bit for bit, and identical inputs give identical traces.  Both hold for a fixed BLAS build and thread count:
-    GEMV results, and with them the metrics, can differ between thread counts.
+    it beats the per-trial form; both give the same bits.  Every ``res_sq``,
+    ``initial_res_sq`` and ||b||^2 is numpy's pairwise sum of the squares,
+    never a BLAS dot, and one row-wise ``np.add.reduce`` gives the ``res_sq``
+    and the ``err_sq`` of every trial as the 1-D form does, so a trial's trace
+    equals a separate run with its seed bit for bit, and identical inputs give
+    identical traces.  CSR traces hold these bits at every BLAS thread count.
+    Dense greedy traces hold them for a fixed BLAS build and thread count
+    only: their row images are GEMVs, whose results can differ between thread
+    counts.
 
     The full residual is kept only when the variant selects by it (``grk``,
     ``mgrk``) or the run stops on it (no x*).  Otherwise a step reads only
@@ -308,12 +319,14 @@ def run(
     refresh every ``REFRESH_EVERY`` steps is the trial's own ``matvec``.
 
     A trial updates its residual row on its image's rows only, which for
-    CSR storage is the image's support.  Greedy runs keep the scores
-    r_i^2/||a_i||^2 and, in exact gamma mode, the mask |r_i| > tau.  A CSR
-    step without momentum updates them on its image's support; every other
-    step, and each refresh, recomputes them for the whole block.  The other
-    gamma modes read the mask only to detect a zero residual, and skip it
-    while ||r||^2 > 2 m tau^2 proves some row is above tau.
+    CSR storage is the image's support.  The squares r_i^2 are taken once per
+    step: they give the step's ``res_sq`` and, divided by ||a_i||^2, the next
+    step's greedy scores.  Greedy runs also keep, in exact gamma mode, the
+    mask |r_i| > tau.  A CSR step without momentum updates the squares, the
+    scores and the mask on its image's support; every other step, and each
+    refresh, recomputes them for the whole block.  The other gamma modes read
+    the mask only to detect a zero residual, and skip it while
+    ||r||^2 > 2 m tau^2 proves some row is above tau.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -332,8 +345,11 @@ def run(
 
     x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
     r = A.matvec(x) - b
-    res_sq = float(r @ r)
-    b_norm_sq = float(b @ b)
+    # Sums of squares are numpy's pairwise sums, never a BLAS dot: a long dot
+    # runs on several OpenBLAS threads, which spin between calls and make the
+    # bits depend on the thread count.
+    res_sq = float(np.add.reduce(r * r))
+    b_norm_sq = float(np.add.reduce(b * b))
     # Relative-metric denominators, 1 for a zero x* or b.
     res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
     err_sq = x_star_norm_sq = None
@@ -352,7 +368,9 @@ def run(
     # of X, so the first momentum term is exactly zero.
     X_prev = X.copy() if momentum else None
     # With momentum, ``img`` holds the new residuals before their momentum term.
-    R = R_prev = img = scores = loud = last = picks = X_star = buf = None
+    # ``R_sq`` holds the squares of R: each step's ||r||^2 sums them, and the
+    # next step's scores divide them by the row norms.
+    R = R_prev = R_sq = img = scores = loud = last = picks = X_star = buf = None
     # Each block row's latest metrics; () where the run records none.
     errs = res = ()
     # The recorded step metrics and their types.
@@ -366,14 +384,15 @@ def run(
         columns["err_sq"] = np.float64
     if keeps_r:
         R = np.tile(r, (len(live), 1))
+        R_sq = R * R
         R_prev = R.copy() if momentum else None
         img = np.empty_like(R) if momentum else None
         res = [res_sq] * len(live)
         images = _ImageCache(A)  # shared by the trials
         columns["res_sq"] = np.float64
-    # A greedy CSR step without momentum updates the scores and the mask on its
-    # image's support; every other greedy step recomputes them.
-    support_update = greedy and not dense and not momentum
+    # A CSR step without momentum updates the squares, the scores and the mask
+    # on its image's support; every other step recomputes them.
+    support_update = keeps_r and not dense and not momentum
     if greedy:
         rule = _GreedyRule.of(config, b)
         exact = rule.gamma_mode is GammaMode.EXACT
@@ -407,9 +426,9 @@ def run(
                 picks = np.tile(np.arange(k, k + size) % m, (len(live), 1))
         if new_block or j == 0:
             segments.append((members, {name: block[:filled] for name, block in record.items()}))
-            xs, xs_prev, rs, rs_prev, score_rows, img_rows = (
+            xs, xs_prev, rs, rs_prev, sq_rows, score_rows, img_rows = (
                 None if block is None else list(block)
-                for block in (X, X_prev, R, R_prev, scores, img))
+                for block in (X, X_prev, R, R_prev, R_sq, scores, img))
             xs_new = xs_prev if momentum else xs
             loud_rows = [None] * len(live) if loud is None else list(loud)
             trial_rows = () if batched else range(len(live))
@@ -425,8 +444,7 @@ def run(
                 record.get, TraceRecord._fields[1:])
             new_block = False
         if greedy and stale:
-            np.multiply(R, R, out=scores)
-            scores /= row_norms_sq
+            np.divide(R_sq, row_norms_sq, out=scores)
             if exact:
                 np.greater(np.abs(R), rule.tau_res, out=loud)
         if momentum:
@@ -468,9 +486,12 @@ def run(
                 r[rows] -= coeff * values
                 if support_update:
                     r_rows = r[rows]
-                    score_rows[p][rows] = (r_rows * r_rows) / row_norms_sq[rows]
-                    if exact:
-                        loud_rows[p][rows] = np.abs(r_rows) > rule.tau_res
+                    sq = r_rows * r_rows
+                    sq_rows[p][rows] = sq
+                    if greedy:
+                        score_rows[p][rows] = sq / row_norms_sq[rows]
+                        if exact:
+                            loud_rows[p][rows] = np.abs(r_rows) > rule.tau_res
         if batched:
             column = picks[:, j]
             rows = A.to_dense().take(column, axis=0)
@@ -495,10 +516,9 @@ def run(
                     if momentum:
                         R_prev[p] = A.matvec(X_prev[p].copy()) - b
             stale = refresh or not support_update
-            # One dot per trial: at T = 1 a batched np.matmul cost more per step
-            # (about 12 us at m = 20000).
-            res = [float(r @ r) for r in rs]
-            rec_res[filled] = res
+            if stale:
+                np.multiply(R, R, out=R_sq)
+            res = np.add.reduce(R_sq, 1, None, rec_res[filled]).tolist()
         if greedy:
             rec_index[filled] = idx
             rec_size[filled] = sizes
@@ -533,9 +553,10 @@ def run(
             keep = [p for p in range(len(live)) if p not in gone]
             live, rngs, res, last = (values and [values[p] for p in keep]
                                      for values in (live, rngs, res, last))
-            X, X_prev, X_star, buf, R, R_prev, img, scores, loud, picks = (
+            X, X_prev, X_star, buf, R, R_prev, R_sq, img, scores, loud, picks = (
                 None if block is None else block[keep]
-                for block in (X, X_prev, X_star, buf, R, R_prev, img, scores, loud, picks))
+                for block in (X, X_prev, X_star, buf, R, R_prev, R_sq, img, scores, loud,
+                              picks))
             gone = []
             new_block = True
 

@@ -245,16 +245,22 @@ def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
     assert "beta = 0.4 is not below beta_upper = " in err
 
 
-@pytest.mark.parametrize("meta", ['{"variant": "grk"}', "[1, 2]", None],
-                         ids=["missing-key", "not-an-object", "bad-setting"])
+# A dict is merged into the written metadata line; a string replaces it.
+@pytest.mark.parametrize("meta", [
+    '{"variant": "grk"}', "[1, 2]", {"alpha": "x"}, {"initial_err_sq": "x"},
+    {"frobenius_sq": None}, {"x_star_norm_sq": "1"}, {"initial_res_sq": [1]},
+    {"termination": 3},
+], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
+        "quoted-number", "list-metric", "unknown-termination"])
 def test_certify_refuses_malformed_metadata(tmp_path, capsys, meta):
-    # Each once raised an uncaught KeyError or TypeError: exit 1, a traceback.
+    # Each once raised an uncaught KeyError or TypeError (exit 1, a traceback)
+    # or was certified (exit 0).
     path = tmp_path / "g.csv"
     assert main(["solve", "--m", "30", "--n", "6", "--seed", "1", "--method", "grk",
                  "--out", str(path)]) == 0
     first, rest = path.read_text().split("\n", 1)
-    if meta is None:
-        meta = json.dumps({**json.loads(first[1:]), "alpha": "x"})
+    if isinstance(meta, dict):
+        meta = json.dumps({**json.loads(first[1:]), **meta})
     path.write_text("# " + meta + "\n" + rest)
     capsys.readouterr()
     assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2

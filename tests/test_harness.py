@@ -58,6 +58,27 @@ class TestRandomProblem:
         np.testing.assert_array_equal(p1.A.to_dense(), p2.A.to_dense())
         np.testing.assert_array_equal(p1.b, p2.b)
 
+    @pytest.mark.parametrize("m, n, r, kappa", [
+        (40, 12, 7, 5.0),      # r < min(m, n)
+        (10, 40, 10, 3.0),     # m < n
+        (15, 30, 9, 4.0),      # m < n and r < m
+        (200, 50, 50, 1e3),
+        (60, 60, 20, 1e3),
+    ])
+    def test_x_star_is_the_min_norm_solution(self, m, n, r, kappa):
+        problem = gen_random_problem(RandomProblemSpec(m=m, n=n, r=r, kappa=kappa, seed=4))
+        reference = min_norm_solution(problem.A, problem.b)
+        assert (np.linalg.norm(problem.x_star - reference)
+                <= 1e-12 * np.linalg.norm(reference))
+
+    def test_runs_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("gen_random_problem ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        problem = gen_random_problem(RandomProblemSpec(m=40, n=12, r=7, kappa=5.0, seed=2))
+        assert problem.x_star is not None
+
 
 class TestMatrixMarket:
     def test_coordinate_round_trip(self, tmp_path):
@@ -369,18 +390,28 @@ class TestEmission:
         with pytest.raises(ValueError, match=f"line {line} has {fields} fields, expected 6"):
             read_trace_csv(path)
 
+    # A dict is merged into the written metadata line; a string replaces it.
     @pytest.mark.parametrize("meta, message", [
         ('{"variant": "grk"}', "not a JSON object with the keys termination, initial_err_sq"),
         ("[1, 2]", "not a JSON object"),
-        (None, "solver settings"),
-    ], ids=["missing-key", "not-an-object", "bad-setting"])
+        ({"alpha": "x"}, "solver settings"),
+        ({"initial_err_sq": "x"}, 'initial_err_sq is "x", not a number'),
+        ({"frobenius_sq": None}, "frobenius_sq is null; only initial_err_sq and x_star_norm_sq"),
+        ({"x_star_norm_sq": "1"}, 'x_star_norm_sq is "1", not a number'),
+        ({"initial_res_sq": [1]}, r"initial_res_sq is \[1\], not a number"),
+        ({"termination": 3}, "termination 3 is not one of rse_tol, residual_tol"),
+        ({"initial_res_sq": True}, "initial_res_sq is true, not a number"),
+        ({"x_star_norm_sq": None}, "x_star_norm_sq is null; only"),
+    ], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
+            "quoted-number", "list-metric", "unknown-termination", "bool-metric",
+            "one-null-of-x-star"])
     def test_malformed_metadata_refused(self, tmp_path, meta, message):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
         path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
                                tmp_path / "t.csv")
         first, rest = path.read_text().split("\n", 1)
-        if meta is None:
-            meta = json.dumps({**json.loads(first[1:]), "alpha": "x"})
+        if isinstance(meta, dict):
+            meta = json.dumps({**json.loads(first[1:]), **meta})
         path.write_text("# " + meta + "\n" + rest)
         with pytest.raises(ValueError, match=message) as info:
             read_trace_csv(path)

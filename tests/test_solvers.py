@@ -1,6 +1,11 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,7 +390,8 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     reads r_i from the row.  Greedy steps recompute the scores and the mask from
     r and call the four selection functions themselves, by their ``solvers``
     names, so a test that patches one patches it here too.  rk draws one
-    ``rng.random()`` per step.
+    ``rng.random()`` per step.  ||r||^2 and ||b||^2 are ``np.add.reduce`` of the
+    squares, as in ``run``.
     """
     A, b, x_star = problem.A, problem.b, problem.x_star
     m, n = A.shape
@@ -396,7 +402,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     mode = config.resolved_gamma_mode()
     tau = 1e-14 * max(1.0, np.max(np.abs(b)))
     err_denom = (float(x_star @ x_star) or 1.0) if x_star is not None else None
-    res_denom = float(b @ b) or 1.0
+    res_denom = float(np.add.reduce(b * b)) or 1.0
     rng = np.random.default_rng(config.seed)
     cdf = np.cumsum(norms)
 
@@ -410,7 +416,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     x = x_prev = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = r_prev = A.matvec(x) - b
     initial_err = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
-    initial_res = res_sq = float(r @ r)
+    initial_res = res_sq = float(np.add.reduce(r * r))
     termination = stop(initial_err, res_sq)
     steps = {name: [] for name in ("index", "set_size", "gamma", "err_sq", "res_sq")}
     iterates = [x.copy()]
@@ -450,7 +456,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
         last = i
         steps["index"].append(i)
         err_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
-        res_sq = float(r @ r)
+        res_sq = float(np.add.reduce(r * r))
         steps["err_sq"].append(err_sq)
         steps["res_sq"].append(res_sq)
         iterates.append(x.copy())
@@ -482,6 +488,42 @@ def test_err_sq_is_bitwise_numpy_sum_of_squares(variant, beta, storage):
     assert len(trace.iterates) == trace.iterations + 1 > 30
     for rec, x in zip(trace.records, trace.iterates[1:]):
         assert rec.err_sq == float(np.sum((x - x_star) ** 2))
+
+
+# A CSR greedy run with m >= 12000, no x*, printed as JSON: the initial ||r||^2,
+# the termination and every record.  OpenBLAS splits a dot over threads from
+# m = 10000 on.
+_CSR_RUN = """
+import json, sys
+import numpy as np
+import scipy.sparse as sp
+from kaczmarz.linalg import Problem, RowAccessMatrix
+from kaczmarz.solvers import SolverConfig, run
+rng = np.random.default_rng(7)
+m, n = 12000, 1200
+A = RowAccessMatrix(sp.random_array((m, n), density=6 / n, format="csr", rng=rng)
+                    + sp.csr_array((np.ones(m), (np.arange(m), np.arange(m) % n)), shape=(m, n)))
+problem = Problem(A, A.matvec(rng.standard_normal(n)))
+trace = run(problem, SolverConfig(variant=sys.argv[1], beta=float(sys.argv[2]), seed=1,
+                                  max_iters=300))
+print(json.dumps([trace.initial_res_sq, trace.termination, *map(list, trace.records)]))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: two BLAS threads would not run in parallel")
+@pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+def test_csr_trace_does_not_depend_on_blas_threads(variant, beta):
+    src = str(Path(solvers.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _CSR_RUN, variant, str(beta)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == 302
+    assert outputs[0] == outputs[1]
 
 
 def sparse_problem(m, n, seed):
