@@ -269,8 +269,10 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     A bound is asserted only where its hypotheses hold.  ``ValueError``
     refuses a trace without the error metric or (rk, cyclic) gamma, a
     ``sigma_min_sq`` or recorded ||A||_F^2 that is not finite and positive,
-    alpha outside (0, 2) without momentum or (0, 1 + beta) with it, and an
-    infeasible momentum envelope, naming ``beta_upper`` when alpha <= 1.
+    an initial squared error that is not finite and nonnegative, a recorded
+    gamma that is not finite and positive, alpha outside (0, 2) without
+    momentum or (0, 1 + beta) with it, and an infeasible momentum envelope,
+    naming ``beta_upper`` when alpha <= 1.  A NaN error is a violation.
     """
     if trace.initial_err_sq is None or trace.err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
@@ -278,29 +280,33 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     _check_momentum_hypotheses(alpha, beta)
     _check_positive(sigma_min_sq=sigma_min_sq, frob_sq=trace.frobenius_sq)
     err0 = trace.initial_err_sq
+    if not 0.0 <= err0 < math.inf:
+        raise ValueError(f"initial_err_sq must be finite and nonnegative, got {err0}")
     slack = CERT_SLACK_SCALE * err0
     # Both bounds rest on greedy selection; rk and cyclic record no gamma.
     if trace.gamma is None:
         raise ValueError("trace has no gamma; certification applies to greedy traces only")
+    if not np.all((trace.gamma > 0.0) & (trace.gamma < math.inf)):
+        raise ValueError("every recorded gamma must be finite and positive")
     errs = trace.err_sq
     checked = len(errs)
 
     if beta == 0.0:
+        mode = "per_step"
         # The scalar bound's operations, in its order, on every step at once.
         prev = np.concatenate(([err0], errs[:-1]))
         bound = (1.0 - alpha * (2.0 - alpha) * sigma_min_sq / trace.gamma) * prev + slack
-        violated = np.flatnonzero(errs > bound)
-        first = violated.item(0) if violated.size else None
-        return CertificationResult(first is None, first, checked, "per_step")
-
-    report = momentum_factors(alpha, beta, sigma_min_sq, trace.frobenius_sq)
-    if not report.feasible:
-        reason = (f"momentum constants infeasible (gamma1 + gamma2 = "
-                  f"{report.gamma1 + report.gamma2:.6g} >= 1); no envelope to certify against")
-        if report.beta_upper is not None:
-            reason += f"; beta = {beta} is not below beta_upper = {report.beta_upper:.6g}"
-        raise ValueError(reason)
-    for k, err in enumerate(errs.tolist()):
-        if err > report.envelope(k, err0) + slack:
-            return CertificationResult(False, k, checked, "envelope")
-    return CertificationResult(True, None, checked, "envelope")
+    else:
+        mode = "envelope"
+        report = momentum_factors(alpha, beta, sigma_min_sq, trace.frobenius_sq)
+        if not report.feasible:
+            reason = (f"momentum constants infeasible (gamma1 + gamma2 = "
+                      f"{report.gamma1 + report.gamma2:.6g} >= 1); no envelope to certify against")
+            if report.beta_upper is not None:
+                reason += f"; beta = {beta} is not below beta_upper = {report.beta_upper:.6g}"
+            raise ValueError(reason)
+        # The scalar envelope at each step: np.power need not round as ** does.
+        bound = np.array([report.envelope(k, err0) for k in range(checked)]) + slack
+    violated = np.flatnonzero(~(errs <= bound))  # a NaN error fails too
+    first = violated.item(0) if violated.size else None
+    return CertificationResult(first is None, first, checked, mode)

@@ -30,7 +30,7 @@ from .linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from .solvers import SolverConfig, SolverVariant, Trace, TraceRecord, run
+from .solvers import SolverConfig, Trace, TraceRecord, _count, _recorded_metrics, run
 
 __all__ = [
     "RandomProblemSpec",
@@ -72,6 +72,7 @@ class RandomProblemSpec:
             raise ValueError(f"rank {self.r} must lie in [1, min(m, n) = {min(self.m, self.n)}]")
         if self.kappa <= 1.0:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        _count("seed", self.seed, 0)
 
 
 def gen_random_problem(spec: RandomProblemSpec) -> Problem:
@@ -381,12 +382,6 @@ def write_trace_csv(trace: Trace, path) -> Path:
     return path
 
 
-def _column(texts: tuple[str, ...], parse) -> np.ndarray:
-    """A trace-CSV column back to its step array."""
-    return np.array([parse(text) for text in texts],
-                    dtype=np.int64 if parse is int else np.float64)
-
-
 def _trace_metadata(path: Path, meta: dict) -> dict:
     """The metadata line's ``Trace`` fields, checked: each metric a JSON number,
     null only for ``initial_err_sq`` and ``x_star_norm_sq`` and then for both
@@ -417,14 +412,13 @@ def read_trace_csv(path) -> Trace:
     """Rebuild a trace from ``write_trace_csv`` output.
 
     The step arrays equal the written ones.  Which metrics the run recorded
-    follows from the metadata, as in ``run``, so a trace without steps comes
-    back with the same None columns: ``set_size`` and ``gamma`` for greedy
-    variants only, ``err_sq`` when x* was known, ``res_sq`` for greedy
-    variants or without x*.  Iterates and ``final_x`` are not stored in the
-    file.  A row whose field count differs from the header's, a blank line
-    included, raises ``ValueError`` naming its line; so does a metadata line
-    that is not a JSON object of the trace fields or holds a bad setting, and
-    one whose trace fields ``_trace_metadata`` refuses names the field.
+    follows from the metadata by ``run``'s own rule, ``_recorded_metrics``, so
+    a trace without steps comes back with the same None columns.  Iterates
+    and ``final_x`` are not stored in the file.  A row whose field count
+    differs from the header's, a blank line included, raises ``ValueError``
+    naming its line; so does a metadata line that is not a JSON object of the
+    trace fields or holds a bad setting, and one whose trace fields
+    ``_trace_metadata`` refuses names the field.
     """
     path = Path(path)
     with path.open() as fh:
@@ -454,11 +448,7 @@ def read_trace_csv(path) -> Trace:
                                  if f.name in meta})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: the metadata line's solver settings: {exc}") from None
-    greedy = config.variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    known = values["initial_err_sq"] is not None
-    recorded = {"index": True, "set_size": greedy, "gamma": greedy, "err_sq": known,
-                "res_sq": greedy or not known}
-    steps = {name: _column(texts, int if name in ("index", "set_size") else float)
-             if recorded[name] else None
+    recorded = _recorded_metrics(config.variant, values["initial_err_sq"] is not None)
+    steps = {name: np.array(texts, dtype=recorded[name]) if name in recorded else None
              for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
     return Trace(final_x=None, config=config, **steps, **values)

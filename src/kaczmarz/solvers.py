@@ -9,6 +9,7 @@ mutable state (iterates, residual, generator, trace) is per-run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, repeat, starmap
@@ -58,6 +59,17 @@ class SolverVariant(str, Enum):
     MGRK = "mgrk"
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; ``ValueError`` for anything else."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 @dataclass
 class SolverConfig:
     """Variant selector plus step, momentum, and stopping parameters.
@@ -92,8 +104,8 @@ class SolverConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.variant is SolverVariant.GRK and self.beta != 0.0:
             raise ValueError("the grk variant runs without momentum; use mgrk for beta > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        self.seed = _count("seed", self.seed, 0)
+        self.max_iters = _count("max_iters", self.max_iters, 1)
         if not 0.0 < self.rse_tol < math.inf:
             raise ValueError(f"rse_tol must be finite and positive, got {self.rse_tol}")
         # Gamma_k = ||A||_F^2 - ||a_{i_{k-1}}||^2 bounds the active-set mass only
@@ -133,10 +145,7 @@ class Trace:
     metric the run does not record is None for the whole run: ``set_size`` and
     ``gamma`` for rk and cyclic, ``err_sq`` without x*, ``res_sq`` where the
     run keeps no full residual.  ``records`` builds the ``TraceRecord`` list
-    from the arrays each time it is read.  ``res_sq`` and ``initial_res_sq``
-    are numpy's pairwise sums of r_i^2, never a BLAS dot, so a CSR trace does
-    not depend on the BLAS thread count; a dense greedy trace still does,
-    through the GEMV row images.
+    from the arrays each time it is read; ``run`` says which bits they hold.
 
     ``termination`` is one of ``TERMINATIONS``: ``rse_tol`` (error below
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
@@ -187,20 +196,31 @@ class Trace:
         return self.index.tolist()
 
 
-def _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol) -> str | None:
-    """Termination reason for the current metrics, or None to keep going.
+def _recorded_metrics(variant: SolverVariant, known: bool) -> dict[str, type]:
+    """The step metrics a run records, by ``TraceRecord`` field, with their
+    dtypes; ``res_sq`` is recorded just where ``run`` keeps the full residual."""
+    greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
+    metrics = (("index", np.int64, True), ("set_size", np.int64, greedy),
+               ("gamma", np.float64, greedy), ("err_sq", np.float64, known),
+               ("res_sq", np.float64, greedy or not known))
+    return {name: dtype for name, dtype, kept in metrics if kept}
 
-    ``err_sq`` is compared relative to ``err_denom`` when x* is known,
-    ``res_sq`` relative to ``res_denom`` when not.  Both metrics are sums of
-    squares, so their sum is finite exactly when every metric computed is.
-    The residual is watched even when x* is known, because greedy selection
-    reads it and it can overflow before the error.
+
+def _stop_reason(errs, res, err_denom, res_denom, rse_tol) -> str | None:
+    """A termination reason if some of the given trials' metrics stop it, or None.
+
+    ``errs`` and ``res`` hold the trials' ``err_sq`` and ``res_sq``, ``()`` for
+    a metric the run does not keep.  The smallest error decides when x* is
+    known, the smallest residual when not.  The metrics are sums of squares,
+    so their total is finite exactly when every one is; the residual is
+    watched even with x* known, as greedy selection reads it and it can
+    overflow first.
     """
-    if not math.isfinite((err_sq or 0.0) + (res_sq or 0.0)):
+    if not sum(errs) + sum(res) < math.inf:  # NaN fails too
         return "nonfinite"
-    if err_sq is not None:
-        return "rse_tol" if err_sq / err_denom <= rse_tol else None
-    return "residual_tol" if res_sq / res_denom <= rse_tol else None
+    if errs:
+        return "rse_tol" if min(errs) / err_denom <= rse_tol else None
+    return "residual_tol" if min(res) / res_denom <= rse_tol else None
 
 
 class _GreedyRule(NamedTuple):
@@ -318,6 +338,13 @@ def run(
     ``_IMAGE_CACHE_BYTES`` of rows and values, shared by the trials, and each
     refresh every ``REFRESH_EVERY`` steps is the trial's own ``matvec``.
 
+    With momentum (beta > 0) the iterates and, where kept, the residuals
+    take the heavy-ball term in one form: before the step, each pair
+    (X, X_prev) and (R, R_prev) gets prev <- cur + beta (cur - prev), each
+    trial's step updates its rows of prev, and prev becomes the current block.
+    So an ``mgrk`` step gives (x + beta (x - x_prev)) - coeff a_i and, in the
+    same order, (r + beta (r - r_prev)) - coeff A a_i.
+
     A trial updates its residual row on its image's rows only, which for
     CSR storage is the image's support.  The squares r_i^2 are taken once per
     step: they give the step's ``res_sq`` and, divided by ||a_i||^2, the next
@@ -333,14 +360,14 @@ def run(
     configs = ([config] if trials is None
                else [replace(config, seed=config.seed + t) for t in range(trials)])
     A, b, x_star = problem.A, problem.b, problem.x_star
-    m = A.m
     variant = config.variant
     alpha, beta, rse_tol = config.alpha, config.beta, config.rse_tol
     greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
     dense = not A.is_sparse
     momentum = beta != 0.0
     known = x_star is not None
-    keeps_r = greedy or not known
+    columns = _recorded_metrics(variant, known)
+    keeps_r = "res_sq" in columns
     row_norms_sq = A.row_norms_sq
 
     x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
@@ -349,56 +376,48 @@ def run(
     # runs on several OpenBLAS threads, which spin between calls and make the
     # bits depend on the thread count.
     res_sq = float(np.add.reduce(r * r))
-    b_norm_sq = float(np.add.reduce(b * b))
     # Relative-metric denominators, 1 for a zero x* or b.
-    res_denom = b_norm_sq if b_norm_sq > 0.0 else 1.0
+    res_denom = float(np.add.reduce(b * b)) or 1.0
     err_sq = x_star_norm_sq = None
     err_denom = 1.0
     if known:
         x_star_norm_sq = float(x_star @ x_star)
         err_sq = float(np.sum((x - x_star) ** 2))
-        err_denom = x_star_norm_sq if x_star_norm_sq > 0.0 else 1.0
-    start_reason = _stop_reason(err_sq, res_sq, err_denom, res_denom, rse_tol)
+        err_denom = x_star_norm_sq or 1.0
+    start_reason = _stop_reason([err_sq] if known else (), [res_sq], err_denom, res_denom, rse_tol)
 
     # Block row p of every array and list below belongs to trial live[p].
     live = list(range(len(configs)))
     rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
     X = np.tile(x, (len(live), 1))
-    # A momentum step writes the new iterates over X_prev.  It starts as a copy
-    # of X, so the first momentum term is exactly zero.
+    # A momentum step writes the new iterates over X_prev, and the new
+    # residuals over R_prev.  Each starts as a copy, so the first momentum term
+    # is exactly zero.
     X_prev = X.copy() if momentum else None
-    # With momentum, ``img`` holds the new residuals before their momentum term.
     # ``R_sq`` holds the squares of R: each step's ||r||^2 sums them, and the
     # next step's scores divide them by the row norms.
-    R = R_prev = R_sq = img = scores = loud = last = picks = X_star = buf = None
+    R = R_prev = R_sq = scores = loud = last = picks = X_star = buf = None
     # Each block row's latest metrics; () where the run records none.
     errs = res = ()
-    # The recorded step metrics and their types.
-    columns = {"index": np.int64}
-    if greedy:
-        columns.update(set_size=np.int64, gamma=np.float64)
     if known:
         # One x* row per block row: a subtract of equal shapes beats a broadcast.
         X_star = np.tile(x_star, (len(live), 1))
         buf = np.empty_like(X)
-        columns["err_sq"] = np.float64
     if keeps_r:
         R = np.tile(r, (len(live), 1))
         R_sq = R * R
         R_prev = R.copy() if momentum else None
-        img = np.empty_like(R) if momentum else None
         res = [res_sq] * len(live)
         images = _ImageCache(A)  # shared by the trials
-        columns["res_sq"] = np.float64
     # A CSR step without momentum updates the squares, the scores and the mask
     # on its image's support; every other step recomputes them.
     support_update = keeps_r and not dense and not momentum
     if greedy:
         rule = _GreedyRule.of(config, b)
         exact = rule.gamma_mode is GammaMode.EXACT
-        scores = np.empty_like(R)
+        scores = R_sq / row_norms_sq
         if exact:
-            loud = np.empty(R.shape, dtype=bool)
+            loud = np.abs(R) > rule.tau_res
         last = [None] * len(live)
     elif variant is SolverVariant.RK:
         rk_cdf = row_norms_sq.cumsum()
@@ -411,7 +430,7 @@ def run(
     members, record, filled = [], {}, 0
     ends = {}  # trial -> (steps, termination, final iterate)
     gone = []  # block rows that leave after this step
-    new_block = stale = True
+    new_block = True
 
     steps = config.max_iters if start_reason is None else 0
     for k in range(steps):
@@ -421,15 +440,15 @@ def run(
             if variant is SolverVariant.RK:
                 u = np.stack([rng.random(size) for rng in rngs])
                 picks = rk_cdf.searchsorted(u * rk_total, side="right")
-                np.minimum(picks, m - 1, out=picks)
+                np.minimum(picks, A.m - 1, out=picks)
             else:
-                picks = np.tile(np.arange(k, k + size) % m, (len(live), 1))
+                picks = np.tile(np.arange(k, k + size) % A.m, (len(live), 1))
         if new_block or j == 0:
             segments.append((members, {name: block[:filled] for name, block in record.items()}))
-            xs, xs_prev, rs, rs_prev, sq_rows, score_rows, img_rows = (
+            xs, xs_prev, rs, rs_prev, sq_rows, score_rows = (
                 None if block is None else list(block)
-                for block in (X, X_prev, R, R_prev, R_sq, scores, img))
-            xs_new = xs_prev if momentum else xs
+                for block in (X, X_prev, R, R_prev, R_sq, scores))
+            xs_new, rs_new = (xs_prev, rs_prev) if momentum else (xs, rs)
             loud_rows = [None] * len(live) if loud is None else list(loud)
             trial_rows = () if batched else range(len(live))
             # The per-trial step reads rk and cyclic picks as Python ints.
@@ -443,16 +462,13 @@ def run(
             rec_index, rec_size, rec_gamma, rec_err, rec_res = map(
                 record.get, TraceRecord._fields[1:])
             new_block = False
-        if greedy and stale:
-            np.divide(R_sq, row_norms_sq, out=scores)
-            if exact:
-                np.greater(np.abs(R), rule.tau_res, out=loud)
         if momentum:
-            np.subtract(X, X_prev, out=X_prev)
-            X_prev *= beta
-            X_prev += X
-        if img is not None:
-            np.copyto(img, R)
+            # One heavy-ball form for both blocks: see the docstring.
+            for cur, prev in ((X, X_prev), (R, R_prev)):
+                if cur is not None:
+                    np.subtract(cur, prev, out=prev)
+                    prev *= beta
+                    prev += cur
 
         # Each trial's step on Python floats, from its own rows of the blocks.
         if greedy:
@@ -474,15 +490,12 @@ def run(
                 last[p] = i
             else:
                 i = idx[p]
-            if keeps_r:
-                r_i = R.item(p, i)
-            else:
-                r_i = A.row_dot(i, xs[p]) - b.item(i)
+            r_i = R.item(p, i) if keeps_r else A.row_dot(i, xs[p]) - b.item(i)
             coeff = alpha * r_i / row_norms_sq.item(i)
             A.axpy_row(i, -coeff, xs_new[p])
             if keeps_r:
                 rows, values = images.image(i)
-                r = img_rows[p] if momentum else rs[p]
+                r = rs_new[p]
                 r[rows] -= coeff * values
                 if support_update:
                     r_rows = r[rows]
@@ -501,13 +514,9 @@ def run(
             X -= rows
         if momentum:
             X, X_prev, xs, xs_prev, xs_new = X_prev, X, xs_prev, xs, xs
+            R, R_prev, rs, rs_prev, rs_new = R_prev, R, rs_prev, rs, rs
 
         if keeps_r:
-            if momentum:
-                np.subtract(R, R_prev, out=R_prev)
-                R_prev *= beta
-                R_prev += img
-                R, R_prev, rs, rs_prev = R_prev, R, rs_prev, rs
             refresh = (k + 1) % REFRESH_EVERY == 0
             if refresh:
                 # Each trial's own matvec of a fresh vector.
@@ -515,9 +524,12 @@ def run(
                     R[p] = A.matvec(X[p].copy()) - b
                     if momentum:
                         R_prev[p] = A.matvec(X_prev[p].copy()) - b
-            stale = refresh or not support_update
-            if stale:
+            if refresh or not support_update:
                 np.multiply(R, R, out=R_sq)
+                if greedy:
+                    np.divide(R_sq, row_norms_sq, out=scores)
+                    if exact:
+                        np.greater(np.abs(R), rule.tau_res, out=loud)
             res = np.add.reduce(R_sq, 1, None, rec_res[filled]).tolist()
         if greedy:
             rec_index[filled] = idx
@@ -532,18 +544,10 @@ def run(
             for t, x_t in zip(live, xs):
                 iterates[t].append(x_t.copy())
 
-        # The metrics are sums of squares, so a finite total proves every
-        # trial's finite, and the smallest error decides whether any trial is
-        # below the tolerance.
-        if known:
-            lowest = min(errs) / err_denom
-            total = sum(errs) + sum(res) if keeps_r else sum(errs)
-        else:
-            lowest, total = min(res) / res_denom, sum(res)
-        if not (lowest > rse_tol and total < math.inf):
+        # One test of every trial's metrics finds whether any trial stops.
+        if _stop_reason(errs, res, err_denom, res_denom, rse_tol):
             for p, t in enumerate(live):
-                reason = _stop_reason(errs[p] if known else None, res[p] if keeps_r else None,
-                                      err_denom, res_denom, rse_tol)
+                reason = _stop_reason(errs[p:p + 1], res[p:p + 1], err_denom, res_denom, rse_tol)
                 if reason is not None and t not in ends:
                     ends[t] = (k + 1, reason, xs[p].copy())
                     gone.append(p)
@@ -553,10 +557,9 @@ def run(
             keep = [p for p in range(len(live)) if p not in gone]
             live, rngs, res, last = (values and [values[p] for p in keep]
                                      for values in (live, rngs, res, last))
-            X, X_prev, X_star, buf, R, R_prev, R_sq, img, scores, loud, picks = (
+            X, X_prev, X_star, buf, R, R_prev, R_sq, scores, loud, picks = (
                 None if block is None else block[keep]
-                for block in (X, X_prev, X_star, buf, R, R_prev, R_sq, img, scores, loud,
-                              picks))
+                for block in (X, X_prev, X_star, buf, R, R_prev, R_sq, scores, loud, picks))
             gone = []
             new_block = True
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kaczmarz.analysis import (
+    CERT_SLACK_SCALE,
+    CertificationResult,
     beta_upper,
     certify_trace,
     gamma_leaveout,
@@ -322,6 +324,50 @@ class TestCertifyTrace:
         assert trace.termination == "rse_tol"
         with pytest.raises(ValueError, match=f"beta = 0.4 is not below beta_upper = {bound:.6g}$"):
             certify_trace(trace, sigma_sq)
+
+    @staticmethod
+    def _fifty_grk_steps():
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=10, seed=1))
+        trace = run(problem, SolverConfig(variant="grk", seed=1, max_iters=50))
+        assert certify_trace(trace, 1.0).passed
+        return trace
+
+    # This test's traces, and those of the next two, were once certified.
+    def test_nan_error_is_a_violation(self):
+        trace = self._fifty_grk_steps()
+        trace.err_sq[10] = math.nan
+        trace.err_sq[11] = 1e6 * trace.initial_err_sq
+        assert certify_trace(trace, 1.0) == CertificationResult(False, 10, 50, "per_step")
+        momentum = replace(_MGRK_TRACE, err_sq=_MGRK_TRACE.err_sq.copy())
+        momentum.err_sq[3] = math.nan
+        assert certify_trace(momentum, 1.0) == CertificationResult(
+            False, 3, momentum.iterations, "envelope")
+
+    @pytest.mark.parametrize("err0", [math.inf, math.nan, -1.0])
+    def test_bad_initial_error_is_refused(self, err0):
+        trace = replace(self._fifty_grk_steps(), initial_err_sq=err0)
+        with pytest.raises(ValueError, match="initial_err_sq must be finite and nonnegative"):
+            certify_trace(trace, 1.0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_gamma_is_refused(self, gamma):
+        trace = self._fifty_grk_steps()
+        trace.err_sq[:] = trace.initial_err_sq * 1.5 ** np.arange(1, 51)
+        trace.gamma[:] = gamma
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            certify_trace(trace, 1.0)
+
+    def test_envelope_is_the_scalar_bound_at_every_step(self):
+        report = momentum_factors(1.0, 0.05, 1.0, _MGRK_TRACE.frobenius_sq)
+        err0 = _MGRK_TRACE.initial_err_sq
+        slack = CERT_SLACK_SCALE * err0
+        edge = [report.envelope(k, err0) + slack for k in range(_MGRK_TRACE.iterations)]
+        assert certify_trace(replace(_MGRK_TRACE, err_sq=np.array(edge)), 1.0).passed
+        for k in range(len(edge)):
+            above = np.array(edge)
+            above[k] = np.nextafter(above[k], math.inf)
+            result = certify_trace(replace(_MGRK_TRACE, err_sq=above), 1.0)
+            assert result.first_violation == k
 
     def test_over_relaxed_momentum_refusal_names_no_beta_upper(self):
         problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])

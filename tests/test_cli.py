@@ -285,6 +285,41 @@ def test_certify_refuses_ragged_trace_rows(tmp_path, capsys, edit):
     assert captured.err.startswith("kaczmarz: error:") and ": line 5 has" in captured.err
 
 
+def _nan_error(meta, rows):
+    rows[10][4] = "nan"
+    rows[11][4] = repr(1e6 * meta["initial_err_sq"])
+
+
+def _growing_error_negative_gamma(meta, rows):
+    for k, row in enumerate(rows):
+        row[3] = "-1"
+        row[4] = repr(meta["initial_err_sq"] * 1.5 ** (k + 1))
+
+
+# Each edit of a 50-step grk trace was once certified (exit 0).
+@pytest.mark.parametrize("edit, message", [
+    (_nan_error, "violation at k=10 (per_step bound)"),
+    (lambda meta, rows: meta.update(initial_err_sq=float("inf")),
+     "kaczmarz: error: initial_err_sq must be finite and nonnegative, got inf"),
+    (lambda meta, rows: meta.update(initial_err_sq=float("nan")),
+     "kaczmarz: error: initial_err_sq must be finite and nonnegative, got nan"),
+    (_growing_error_negative_gamma,
+     "kaczmarz: error: every recorded gamma must be finite and positive"),
+], ids=["nan-error", "infinite-initial-error", "nan-initial-error", "negative-gamma"])
+def test_certify_rejects_nonfinite_or_nonpositive_values(tmp_path, capsys, edit, message):
+    path = tmp_path / "g.csv"
+    main(["solve", "--m", "60", "--n", "10", "--seed", "1", "--method", "grk",
+          "--max-iters", "50", "--out", str(path)])
+    first, header, *lines = path.read_text().splitlines()
+    meta, rows = json.loads(first[1:]), [line.split(",") for line in lines]
+    assert len(rows) == 50
+    edit(meta, rows)
+    path.write_text("\n".join(["# " + json.dumps(meta), header, *map(",".join, rows)]) + "\n")
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("variant, beta", [("grk", "0"), ("rk", "0"), ("mgrk", "0.001")])
 def test_certify_refuses_a_bad_sigma_min_sq(tmp_path, capsys, variant, beta, sigma):
@@ -354,6 +389,9 @@ BAD_SETTINGS = [
     (["solve", "--rse-tol", "nan", "--max-iters", "500"], None),
     (["solve", "--rse-tol", "inf"], None),
     (["bench", "--methods", "grk:alpha=nan"], None),
+    (["solve", "--m", "30", "--n", "5", "--seed", "-1"], None),
+    (["bench", "--methods", "grk:seed=-3"], None),
+    (["bench"], "seed = -1"),
     (["bench"], "rse_tol = nan"),
     (["certify", "--trace", "t.csv", "--sigma-min-sq", "nan"], None),
     (["solve", "--kappa", "0.5"], None),

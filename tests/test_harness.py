@@ -35,6 +35,9 @@ class TestRandomProblem:
             RandomProblemSpec(m=50, n=10, r=11)
         with pytest.raises(ValueError):
             RandomProblemSpec(m=50, n=10, r=10, kappa=1.0)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                RandomProblemSpec(m=50, n=10, r=10, seed=seed)
 
     def test_spectrum_and_rank(self):
         problem = gen_random_problem(RandomProblemSpec(m=50, n=10, r=10, kappa=10.0, seed=1))

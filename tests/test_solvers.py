@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(variant="grk", beta=0.5)
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"max_iters": 10.5}, {"max_iters": 0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SolverConfig(**bad)
+        # numpy integers are stored as int, which the trace metadata's JSON takes.
+        config = SolverConfig(seed=np.int64(3), max_iters=np.uint8(7))
+        assert (type(config.seed), type(config.max_iters)) == (int, int)
 
     @pytest.mark.parametrize("rows, b, x_star", [
         ([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], [1.0]),
@@ -447,9 +453,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
         r_i = r[i] if keep_residual else A.row_dot(i, x) - b[i]
         coeff = config.alpha * r_i / norms[i]
         x_new = (x + config.beta * (x - x_prev) if config.beta else x) - coeff * mat[i]
-        r_new = r - coeff * A.matvec(mat[i])
-        if config.beta:
-            r_new = r_new + config.beta * (r - r_prev)
+        r_new = (r + config.beta * (r - r_prev) if config.beta else r) - coeff * A.matvec(mat[i])
         if (k + 1) % REFRESH_EVERY == 0:
             r_new, r = A.matvec(x_new) - b, A.matvec(x) - b
         x_prev, x, r_prev, r = x, x_new, r, r_new
