@@ -27,7 +27,6 @@ from .solvers import (
     SolverConfig,
     SolverVariant,
     Trace,
-    TraceRecord,
     run,
 )
 from .analysis import (

@@ -255,28 +255,30 @@ def _cmd_bench(args) -> int:
     return NUMERICAL_ERROR if diverged else 0
 
 
+def _bound_section(build, *args) -> dict:
+    """A ``bound`` section: ``build(*args)`` as a dict, or ``{"error": message}``
+    when the bound's hypotheses fail."""
+    try:
+        return dataclasses.asdict(build(*args))
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
 def _cmd_bound(args) -> int:
     problem = load_problem(args.source, args.seed)
     sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+    frobenius_sq = problem.A.frobenius_sq
     report = {
-        "rate": None,
-        "momentum": None,
-        "complexity": None,
+        "rate": _bound_section(rate_report, problem.A, sigma_sq),
+        "momentum": _bound_section(momentum_factors, args.alpha, args.beta, sigma_sq,
+                                   frobenius_sq),
+        "complexity": None,  # needs x*
     }
-    try:
-        report["rate"] = dataclasses.asdict(rate_report(problem.A, sigma_min_sq=sigma_sq))
-    except ValueError as exc:
-        report["rate"] = {"error": str(exc)}
-    try:
-        report["momentum"] = dataclasses.asdict(
-            momentum_factors(args.alpha, args.beta, sigma_sq, problem.A.frobenius_sq))
-    except ValueError as exc:
-        report["momentum"] = {"error": str(exc)}
     if problem.x_star is not None:
         err0 = float(problem.x_star @ problem.x_star)
         eps = args.epsilon if args.epsilon is not None else 1e-12 * err0
-        report["complexity"] = dataclasses.asdict(
-            iteration_complexity(sigma_sq, problem.A.frobenius_sq, err0, eps, args.rho))
+        report["complexity"] = _bound_section(iteration_complexity, sigma_sq, frobenius_sq,
+                                              err0, eps, args.rho)
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
@@ -30,7 +31,7 @@ from .linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from .solvers import SolverConfig, Trace, TraceRecord, _count, _recorded_metrics, run
+from .solvers import _STEP_COLUMNS, SolverConfig, Trace, _count, _recorded_metrics, run
 
 __all__ = [
     "RandomProblemSpec",
@@ -68,10 +69,13 @@ class RandomProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1 or self.r > min(self.m, self.n):
+        for name in ("m", "n", "r"):
+            _count(name, getattr(self, name), 1)
+        if self.r > min(self.m, self.n):
             raise ValueError(f"rank {self.r} must lie in [1, min(m, n) = {min(self.m, self.n)}]")
-        if self.kappa <= 1.0:
-            raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        # Written so that NaN fails, as infinity does.
+        if not 1.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and exceed 1, got {self.kappa}")
         _count("seed", self.seed, 0)
 
 
@@ -129,16 +133,12 @@ def read_matrix_market(path) -> RowAccessMatrix:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_matrix_market(A: RowAccessMatrix | np.ndarray, path, comment: str = "") -> Path:
-    """Write a matrix in Matrix Market format (coordinate for sparse input)."""
+def write_matrix_market(A: RowAccessMatrix, path, comment: str = "") -> Path:
+    """Write a matrix in Matrix Market format: coordinate for CSR storage,
+    array for dense."""
     path = Path(path)
-    if isinstance(A, RowAccessMatrix):
-        payload = sp.coo_array(A._csr) if A.is_sparse else A.to_dense()
-    elif sp.issparse(A):
-        payload = sp.coo_array(A)
-    else:
-        payload = np.asarray(A, dtype=np.float64)
-    scipy.io.mmwrite(path, payload, comment=comment)
+    scipy.io.mmwrite(path, sp.coo_array(A._csr) if A.is_sparse else A.to_dense(),
+                     comment=comment)
     return path
 
 
@@ -191,8 +191,7 @@ class ExperimentSpec:
     problem_seed: int = 0      # b-synthesis seed for file sources
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        self.trials = _count("trials", self.trials, 1)
         labels = [label for label, _ in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError(f"method labels must be unique, got {labels}")
@@ -353,7 +352,7 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
 
 # -- trace files --------------------------------------------------------------
 
-TRACE_COLUMNS = list(TraceRecord._fields)
+TRACE_COLUMNS = ["k", *_STEP_COLUMNS]
 # The Trace fields on the metadata line beside the SolverConfig fields: all
 # but the step arrays (the columns), the config itself and the iterates.
 _TRACE_METADATA = [f.name for f in fields(Trace)
@@ -363,15 +362,16 @@ _TRACE_METADATA = [f.name for f in fields(Trace)
 def write_trace_csv(trace: Trace, path) -> Path:
     """Per-iteration trace CSV with a JSON metadata comment on line one.
 
-    The columns are the ``TraceRecord`` fields.  Values a trace does not
-    record (``err_sq`` without x*, ``res_sq`` where the run kept no full
-    residual, ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
+    The columns are ``TRACE_COLUMNS``: the step number k, then the step
+    arrays in ``_STEP_COLUMNS`` order.  Values a trace does not record
+    (``err_sq`` without x*, ``res_sq`` where the run kept no full residual,
+    ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
     """
     meta = {
         **asdict(replace(trace.config, gamma_mode=trace.config.resolved_gamma_mode())),
         **{name: getattr(trace, name) for name in _TRACE_METADATA},
     }
-    steps = (getattr(trace, name) for name in TRACE_COLUMNS[1:])
+    steps = (getattr(trace, name) for name in _STEP_COLUMNS)
     columns = [range(trace.iterations), *(repeat("") if s is None else s.tolist() for s in steps)]
     path = Path(path)
     with path.open("w", newline="") as fh:
@@ -415,10 +415,11 @@ def read_trace_csv(path) -> Trace:
     follows from the metadata by ``run``'s own rule, ``_recorded_metrics``, so
     a trace without steps comes back with the same None columns.  Iterates
     and ``final_x`` are not stored in the file.  A row whose field count
-    differs from the header's, a blank line included, raises ``ValueError``
-    naming its line; so does a metadata line that is not a JSON object of the
-    trace fields or holds a bad setting, and one whose trace fields
-    ``_trace_metadata`` refuses names the field.
+    differs from the header's, a blank line included, or whose k is not its
+    0-based position among the rows raises ``ValueError`` naming its line; so
+    does a metadata line that is not a JSON object of the trace fields or
+    holds a bad setting, and one whose trace fields ``_trace_metadata``
+    refuses names the field.
     """
     path = Path(path)
     with path.open() as fh:
@@ -435,10 +436,13 @@ def read_trace_csv(path) -> Trace:
             raise ValueError(f"{path}: the column header is not {','.join(TRACE_COLUMNS)}")
         rows = []
         for row in reader:
+            # The reader started below the metadata line.
+            line = reader.line_num + 1
             if len(row) != len(TRACE_COLUMNS):
-                # The reader started below the metadata line.
-                raise ValueError(f"{path}: line {reader.line_num + 1} has {len(row)} fields, "
+                raise ValueError(f"{path}: line {line} has {len(row)} fields, "
                                  f"expected {len(TRACE_COLUMNS)}")
+            if row[0] != str(len(rows)):
+                raise ValueError(f"{path}: line {line} has k = {row[0]!r}, expected {len(rows)}")
             rows.append(row)
     columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
     # Older files may lack some SolverConfig fields (defaults apply) or carry
@@ -450,5 +454,5 @@ def read_trace_csv(path) -> Trace:
         raise ValueError(f"{path}: the metadata line's solver settings: {exc}") from None
     recorded = _recorded_metrics(config.variant, values["initial_err_sq"] is not None)
     steps = {name: np.array(texts, dtype=recorded[name]) if name in recorded else None
-             for name, texts in zip(TRACE_COLUMNS[1:], columns[1:])}
+             for name, texts in zip(_STEP_COLUMNS, columns[1:])}
     return Trace(final_x=None, config=config, **steps, **values)

@@ -199,12 +199,7 @@ class Problem:
         self.b.setflags(write=False)
         if x_star is not None:
             x_star = _as_vector(x_star, A.n, "x_star")
-            gap = float(np.linalg.norm(A.matvec(x_star) - self.b))
-            limit = CONSISTENCY_RTOL * max(1.0, float(np.linalg.norm(self.b)))
-            if gap > limit:
-                raise InconsistentSystemError(
-                    f"x_star does not solve the system: ||Ax*-b|| = {gap:.3e} > {limit:.3e}"
-                )
+            _check_solves(A, x_star, self.b, "x_star does not solve the system: ||Ax*-b||")
             x_star.setflags(write=False)
         self.x_star = x_star
 
@@ -213,25 +208,35 @@ class Problem:
         return f"Problem({self.A!r}, {star})"
 
 
-def _svd_rank_cutoff(s: np.ndarray, m: int, n: int) -> float:
-    # Standard numerical-rank convention: max(m, n) * sigma_max * eps.
-    return max(m, n) * float(s[0]) * np.finfo(np.float64).eps
+def _check_solves(A: RowAccessMatrix, x: np.ndarray, b: np.ndarray, what: str) -> None:
+    """``InconsistentSystemError`` headed ``what`` unless ||Ax - b|| is within
+    ``CONSISTENCY_RTOL * max(1, ||b||)``."""
+    gap = float(np.linalg.norm(A.matvec(x) - b))
+    limit = CONSISTENCY_RTOL * max(1.0, float(np.linalg.norm(b)))
+    if gap > limit:
+        raise InconsistentSystemError(f"{what} = {gap:.3e} > {limit:.3e}")
+
+
+def _nonzero_svd(A: RowAccessMatrix, compute_uv: bool):
+    """The dense thin SVD of A cut to its singular values above the standard
+    numerical-rank cutoff max(m, n) * sigma_max * eps: ``s``, or ``(u, s, vt)``
+    with ``compute_uv``.  sigma_max lies above its own cutoff, so only a zero
+    matrix has none, and it raises ``ValueError``."""
+    svd = np.linalg.svd(A.to_dense(), full_matrices=False, compute_uv=compute_uv)
+    s = svd[1] if compute_uv else svd
+    if s[0] == 0.0:
+        raise ValueError("matrix is numerically zero")
+    keep = s > max(A.m, A.n) * float(s[0]) * np.finfo(np.float64).eps
+    return (svd[0][:, keep], s[keep], svd[2][keep]) if compute_uv else s[keep]
 
 
 def smallest_nonzero_singular_value(A: RowAccessMatrix) -> float:
     """Smallest singular value above the numerical-rank cutoff.
 
-    Computed by full dense SVD, so intended for desk-scale matrices
-    (min(m, n) up to roughly 2000).
+    Computed by full dense SVD, without singular vectors, so intended for
+    desk-scale matrices (min(m, n) up to roughly 2000).
     """
-    s = np.linalg.svd(A.to_dense(), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("matrix is numerically zero")
-    cutoff = _svd_rank_cutoff(s, A.m, A.n)
-    nonzero = s[s > cutoff]
-    if nonzero.size == 0:
-        raise ValueError("matrix is numerically zero (all singular values below cutoff)")
-    return float(nonzero[-1])
+    return float(_nonzero_svd(A, compute_uv=False)[-1])
 
 
 def min_norm_solution(A: RowAccessMatrix, b) -> np.ndarray:
@@ -241,16 +246,7 @@ def min_norm_solution(A: RowAccessMatrix, b) -> np.ndarray:
     Raises ``InconsistentSystemError`` when b is not in Range(A).
     """
     b = _as_vector(b, A.m, "b")
-    u, s, vt = np.linalg.svd(A.to_dense(), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("matrix is numerically zero")
-    cutoff = _svd_rank_cutoff(s, A.m, A.n)
-    keep = s > cutoff
-    x = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
-    gap = float(np.linalg.norm(A.matvec(x) - b))
-    limit = CONSISTENCY_RTOL * max(1.0, float(np.linalg.norm(b)))
-    if gap > limit:
-        raise InconsistentSystemError(
-            f"system is inconsistent: best residual ||Ax-b|| = {gap:.3e} > {limit:.3e}"
-        )
+    u, s, vt = _nonzero_svd(A, compute_uv=True)
+    x = vt.T @ ((u.T @ b) / s)
+    _check_solves(A, x, b, "system is inconsistent: best residual ||Ax-b||")
     return x

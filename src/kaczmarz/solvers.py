@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import count, repeat, starmap
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -31,7 +30,6 @@ from .selection import (
 __all__ = [
     "SolverVariant",
     "SolverConfig",
-    "TraceRecord",
     "Trace",
     "run",
 ]
@@ -51,6 +49,11 @@ _RK_BLOCK = 1024
 # on.  Below it the block's fixed cost per step outweighs what it saves.
 _LOCKSTEP_TRIALS = 3
 
+# A trace's step metrics, in trace-CSV order after the step number k, with
+# their dtypes.  Each is a ``Trace`` array of one entry per step.
+_STEP_COLUMNS = {"index": np.int64, "set_size": np.int64, "gamma": np.float64,
+                 "err_sq": np.float64, "res_sq": np.float64}
+
 
 class SolverVariant(str, Enum):
     CYCLIC = "cyclic"
@@ -60,8 +63,11 @@ class SolverVariant(str, Enum):
 
 
 def _count(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; ``ValueError`` for anything else."""
+    """``value`` as an int of at least ``least``; ``ValueError`` for anything else,
+    a bool included."""
     try:
+        if isinstance(value, bool):  # an int to operator.index, with True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -122,30 +128,18 @@ class SolverConfig:
         return GammaMode.EXACT
 
 
-class TraceRecord(NamedTuple):
-    """One completed iteration; metrics refer to the iterate after the step.
-
-    The fields are the trace-CSV columns, in order.
-    """
-
-    k: int
-    index: int
-    set_size: int | None  # greedy working-set size; None for rk and cyclic
-    gamma: float | None   # greedy threshold mass; None for rk and cyclic
-    err_sq: float | None  # None without x*
-    res_sq: float | None  # None where the run keeps no full residual
-
-
 @dataclass
 class Trace:
     """Per-step metric arrays plus the run's initial metrics and outcome.
 
-    Step k's metrics are ``index[k]``, ``set_size[k]``, ``gamma[k]``,
-    ``err_sq[k]`` and ``res_sq[k]``, named as the ``TraceRecord`` fields.  A
-    metric the run does not record is None for the whole run: ``set_size`` and
-    ``gamma`` for rk and cyclic, ``err_sq`` without x*, ``res_sq`` where the
-    run keeps no full residual.  ``records`` builds the ``TraceRecord`` list
-    from the arrays each time it is read; ``run`` says which bits they hold.
+    Step k's metrics refer to the iterate after the step: the row it
+    projected onto, ``index[k]``; the greedy set's size ``set_size[k]`` and
+    threshold mass ``gamma[k]``; and the squared error ``err_sq[k]`` and
+    residual ``res_sq[k]``.  ``_STEP_COLUMNS`` declares these arrays and their
+    dtypes.  A metric the run does not record is None for the whole run:
+    ``set_size`` and ``gamma`` for rk and cyclic, ``err_sq`` without x*,
+    ``res_sq`` where the run keeps no full residual.  ``run`` says which bits
+    the arrays hold.
 
     ``termination`` is one of ``TERMINATIONS``: ``rse_tol`` (error below
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
@@ -175,12 +169,6 @@ class Trace:
     iterates: list[np.ndarray] | None = None
 
     @property
-    def records(self) -> list[TraceRecord]:
-        columns = [repeat(None) if col is None else col.tolist()
-                   for col in (self.index, self.set_size, self.gamma, self.err_sq, self.res_sq)]
-        return list(starmap(TraceRecord, zip(count(), *columns)))
-
-    @property
     def iterations(self) -> int:
         return len(self.index)
 
@@ -197,13 +185,13 @@ class Trace:
 
 
 def _recorded_metrics(variant: SolverVariant, known: bool) -> dict[str, type]:
-    """The step metrics a run records, by ``TraceRecord`` field, with their
-    dtypes; ``res_sq`` is recorded just where ``run`` keeps the full residual."""
+    """The ``_STEP_COLUMNS`` a run records, with their dtypes: ``set_size`` and
+    ``gamma`` for greedy runs, ``err_sq`` with x* known, and ``res_sq`` just
+    where ``run`` keeps the full residual."""
     greedy = variant in (SolverVariant.GRK, SolverVariant.MGRK)
-    metrics = (("index", np.int64, True), ("set_size", np.int64, greedy),
-               ("gamma", np.float64, greedy), ("err_sq", np.float64, known),
-               ("res_sq", np.float64, greedy or not known))
-    return {name: dtype for name, dtype, kept in metrics if kept}
+    kept = {"index": True, "set_size": greedy, "gamma": greedy, "err_sq": known,
+            "res_sq": greedy or not known}
+    return {name: dtype for name, dtype in _STEP_COLUMNS.items() if kept[name]}
 
 
 def _stop_reason(errs, res, err_denom, res_denom, rse_tol) -> str | None:
@@ -355,8 +343,8 @@ def run(
     the mask only to detect a zero residual, and skip it while
     ||r||^2 > 2 m tau^2 proves some row is above tau.
     """
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials is not None:
+        trials = _count("trials", trials, 1)
     configs = ([config] if trials is None
                else [replace(config, seed=config.seed + t) for t in range(trials)])
     A, b, x_star = problem.A, problem.b, problem.x_star
@@ -459,8 +447,7 @@ def run(
                                              for name, dtype in columns.items()}, 0
             if picks is not None:
                 record["index"] = picks[:, j:].T
-            rec_index, rec_size, rec_gamma, rec_err, rec_res = map(
-                record.get, TraceRecord._fields[1:])
+            rec_index, rec_size, rec_gamma, rec_err, rec_res = map(record.get, _STEP_COLUMNS)
             new_block = False
         if momentum:
             # One heavy-ball form for both blocks: see the docstring.

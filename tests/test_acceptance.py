@@ -76,11 +76,10 @@ def test_criterion_1_per_step_contraction(greedy_suite):
         for spec, problem, trace, sigma_sq, _ in greedy_suite:
             slack = SLACK_SCALE * trace.initial_err_sq
             prev = trace.initial_err_sq
-            for rec in trace.records:
-                bound = (1.0 - sigma_sq / rec.gamma) * prev + slack
-                assert rec.err_sq <= bound, (
-                    f"violation at k={rec.k} on {spec}: {rec.err_sq} > {bound}")
-                prev = rec.err_sq
+            for k, (gamma, err_sq) in enumerate(zip(trace.gamma.tolist(), trace.err_sq.tolist())):
+                bound = (1.0 - sigma_sq / gamma) * prev + slack
+                assert err_sq <= bound, f"violation at k={k} on {spec}: {err_sq} > {bound}"
+                prev = err_sq
             total_steps += trace.iterations
             result = certify_trace(trace, sigma_sq)
             assert result.passed, f"certifier disagrees on {spec}: {result}"
@@ -97,19 +96,18 @@ def test_criterion_2_global_deterministic_bound(greedy_suite):
             slack = SLACK_SCALE * err0
             first = 1.0 - sigma_sq / trace.frobenius_sq
             step = 1.0 - sigma_sq / gamma
-            for rec in trace.records:
-                k = rec.k + 1  # err_sq belongs to the iterate after step rec.k
+            # err_sq[k - 1] belongs to the iterate after step k - 1.
+            for k, err_sq in enumerate(trace.err_sq.tolist(), 1):
                 bound = step ** (k - 1) * first * err0 + slack
-                assert rec.err_sq <= bound, (
-                    f"violation at k={k} on {spec}: {rec.err_sq} > {bound}")
+                assert err_sq <= bound, f"violation at k={k} on {spec}: {err_sq} > {bound}"
 
 
 def test_criterion_3_zeroed_previous_row(greedy_suite):
     with verdict("criterion 3: previously hit row has zero residual"):
         for spec, problem, trace, _, _ in greedy_suite:
             tol = 1e-10 * np.max(np.abs(problem.b))
-            worst = max((abs(problem.A.row_dot(rec.index, x) - problem.b[rec.index])
-                         for rec, x in zip(trace.records, trace.iterates[1:])), default=0.0)
+            worst = max((abs(problem.A.row_dot(i, x) - problem.b[i])
+                         for i, x in zip(trace.selections(), trace.iterates[1:])), default=0.0)
             assert worst <= tol, f"{spec}: |r[i_prev]| = {worst} > {tol}"
 
 
@@ -129,10 +127,9 @@ def test_criterion_4_momentum_envelope():
                                               seed=300 + i, max_iters=30_000))
             err0 = trace.initial_err_sq
             slack = SLACK_SCALE * err0
-            for rec in trace.records:
-                bound = report.q ** rec.k * (1.0 + report.delta) * err0 + slack
-                assert rec.err_sq <= bound, (
-                    f"violation at k={rec.k} on {spec}: {rec.err_sq} > {bound}")
+            for k, err_sq in enumerate(trace.err_sq.tolist()):
+                bound = report.q ** k * (1.0 + report.delta) * err0 + slack
+                assert err_sq <= bound, f"violation at k={k} on {spec}: {err_sq} > {bound}"
             assert certify_trace(trace, sigma_sq).passed
 
 
@@ -155,7 +152,7 @@ def test_criterion_5_iteration_complexity():
             assert trace.termination == "rse_tol", f"{spec}: did not converge"
             assert trace.iterations <= k2, (
                 f"{spec}: {trace.iterations} iterations > K2 = {k2:.1f}")
-            assert trace.records[-1].err_sq <= epsilon * (1.0 + 1e-9)
+            assert trace.err_sq[-1] <= epsilon * (1.0 + 1e-9)
             for rho in (0.1, 0.5, 0.9):
                 rep = iteration_complexity(sigma_sq, problem.A.frobenius_sq,
                                            err0, epsilon, rho)
@@ -225,10 +222,10 @@ def test_criterion_8_hand_oracle_trace():
                  "selections (row 2 then row 1), gammas (5, 1), factors (0.8, 0)"):
         assert trace.iterations == 2 and trace.termination == "rse_tol"
         assert trace.selections() == [1, 0]  # rows 2 then 1, zero-based
-        assert [rec.set_size for rec in trace.records] == [1, 1]
+        assert trace.set_size.tolist() == [1, 1]
         np.testing.assert_allclose(trace.iterates[1], [0.0, 2.0], atol=1e-12)
         np.testing.assert_allclose(trace.iterates[2], [1.0, 2.0], atol=1e-12)
-        gammas = [rec.gamma for rec in trace.records]
+        gammas = trace.gamma.tolist()
         assert abs(gammas[0] - 5.0) <= 1e-12 and abs(gammas[1] - 1.0) <= 1e-12
         sigma_sq = smallest_nonzero_singular_value(A) ** 2
         factors = [1.0 - sigma_sq / g for g in gammas]

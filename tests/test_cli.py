@@ -171,6 +171,15 @@ def test_bound_refuses_rate_factors_of_a_rank_one_matrix(tmp_path, capsys):
     assert "sigma_min_sq <= frob_sq" in report["momentum"]["error"]
 
 
+def test_bound_reports_a_complexity_error_as_its_other_sections_do(capsys):
+    # An epsilon above ||x*||^2 once raised, exiting 2 without a report.
+    assert main(["bound", "--m", "30", "--n", "5", "--epsilon", "1e9"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["complexity"]) == {"error"}
+    assert report["complexity"]["error"].startswith("need 0 < epsilon < err0_sq, got 1000000000.0")
+    assert report["rate"]["igrk_factor"] > 0.0 and report["momentum"]["feasible"] is True
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--epsilon", "-1"], "epsilon must be finite and positive"),
     (["--epsilon", "0"], "epsilon must be finite and positive"),
@@ -307,7 +316,15 @@ def _growing_error_negative_gamma(meta, rows):
      "kaczmarz: error: every recorded gamma must be finite and positive"),
 ], ids=["nan-error", "infinite-initial-error", "nan-initial-error", "negative-gamma"])
 def test_certify_rejects_nonfinite_or_nonpositive_values(tmp_path, capsys, edit, message):
-    path = tmp_path / "g.csv"
+    path = _edited_grk_trace(tmp_path / "g.csv", edit)
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def _edited_grk_trace(path, edit):
+    """A 50-step grk trace (60 x 10, seed 1) written to ``path`` by ``solve``,
+    then rewritten after ``edit(meta, rows)`` of its metadata and step rows."""
     main(["solve", "--m", "60", "--n", "10", "--seed", "1", "--method", "grk",
           "--max-iters", "50", "--out", str(path)])
     first, header, *lines = path.read_text().splitlines()
@@ -315,9 +332,21 @@ def test_certify_rejects_nonfinite_or_nonpositive_values(tmp_path, capsys, edit,
     assert len(rows) == 50
     edit(meta, rows)
     path.write_text("\n".join(["# " + json.dumps(meta), header, *map(",".join, rows)]) + "\n")
+    return path
+
+
+# Each edit of the 50-step grk trace was once certified (exit 0).
+@pytest.mark.parametrize("edit, line, k", [
+    (lambda meta, rows: rows.pop(10), 13, "'11'"),
+    (lambda meta, rows: rows[10].__setitem__(0, "x"), 13, "'x'"),
+], ids=["deleted-step", "text-k"])
+def test_certify_refuses_rows_out_of_step_order(tmp_path, capsys, edit, line, k):
+    path = _edited_grk_trace(tmp_path / "g.csv", edit)
     capsys.readouterr()
     assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
-    assert capsys.readouterr().err.strip() == message
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"kaczmarz: error: {path}: line {line} has k = {k}, expected 10"
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
@@ -395,6 +424,9 @@ BAD_SETTINGS = [
     (["bench"], "rse_tol = nan"),
     (["certify", "--trace", "t.csv", "--sigma-min-sq", "nan"], None),
     (["solve", "--kappa", "0.5"], None),
+    (["solve", "--m", "30", "--n", "5", "--kappa", "nan"], None),
+    (["solve", "--m", "30", "--n", "5", "--kappa", "inf"], None),
+    (["bench"], "kappa = nan"),
     (["solve", "--gamma-mode", "lastrow", "--alpha", "0.5"], None),
     (["bench", "--trials", "0"], None),
     (["bench", "--beta", "0.4"], None),  # the default method, grk, has no momentum

@@ -27,6 +27,7 @@ from kaczmarz.harness import (
 )
 from kaczmarz.linalg import Problem, RowAccessMatrix, min_norm_solution
 from kaczmarz.solvers import SolverConfig, run
+from trace_checks import assert_same_steps
 
 
 class TestRandomProblem:
@@ -35,9 +36,17 @@ class TestRandomProblem:
             RandomProblemSpec(m=50, n=10, r=11)
         with pytest.raises(ValueError):
             RandomProblemSpec(m=50, n=10, r=10, kappa=1.0)
-        for seed in (-1, 1.5):
+        for seed in (-1, 1.5, True):
             with pytest.raises(ValueError, match="seed"):
                 RandomProblemSpec(m=50, n=10, r=10, seed=seed)
+        # Each once constructed, and gen_random_problem then raised TypeError.
+        for bad in ({"m": 10.5}, {"n": 5.5}, {"r": 4.5}, {"r": 0}, {"m": True, "n": 1, "r": 1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                RandomProblemSpec(**{"m": 10, "n": 5, "r": 5, **bad})
+        # NaN once passed the kappa <= 1 test.
+        for kappa in (float("nan"), float("inf"), 0.5):
+            with pytest.raises(ValueError, match="kappa"):
+                RandomProblemSpec(m=50, n=10, r=10, kappa=kappa)
 
     def test_spectrum_and_rank(self):
         problem = gen_random_problem(RandomProblemSpec(m=50, n=10, r=10, kappa=10.0, seed=1))
@@ -193,6 +202,12 @@ class TestExperiments:
             source=RandomProblemSpec(m=60, n=12, r=12, kappa=5.0, seed=7),
             methods=methods, trials=trials, certify=certify)
 
+    @pytest.mark.parametrize("trials", [0, 1.5, True])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        # 1.5 once constructed, and run_experiment then raised TypeError.
+        with pytest.raises(ValueError, match="trials"):
+            self._spec(trials=trials)
+
     def test_label_uniqueness_enforced(self):
         cfg = SolverConfig(variant="grk")
         with pytest.raises(ValueError):
@@ -313,10 +328,8 @@ class TestEmission:
         loaded = read_trace_csv(path)
         assert loaded.termination == trace.termination
         assert loaded.initial_err_sq == trace.initial_err_sq
-        assert len(loaded.records) == len(trace.records)
-        assert [r.index for r in loaded.records] == trace.selections()
-        assert [r.gamma for r in loaded.records] == [r.gamma for r in trace.records]
-        assert [r.err_sq for r in loaded.records] == [r.err_sq for r in trace.records]
+        assert loaded.selections() == trace.selections()
+        assert_same_steps(loaded, trace)
 
     @pytest.mark.parametrize("variant", ["rk", "grk"])
     def test_trace_csv_keeps_config_and_missing_residuals(self, tmp_path, variant):
@@ -327,14 +340,13 @@ class TestEmission:
         loaded = read_trace_csv(write_trace_csv(trace, tmp_path / "t.csv"))
         # The metadata line stores the resolved gamma mode.
         assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
-        assert [r.res_sq for r in loaded.records] == [r.res_sq for r in trace.records]
-        assert [r.err_sq for r in loaded.records] == [r.err_sq for r in trace.records]
-        assert all((r.res_sq is None) == (variant == "rk") for r in loaded.records)
+        assert_same_steps(loaded, trace)
+        assert trace.iterations and (loaded.res_sq is None) == (variant == "rk")
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 30), n=st.integers(1, 8),
            variant=st.sampled_from(["cyclic", "rk", "grk", "mgrk"]), known=st.booleans())
-    def test_trace_csv_round_trip_returns_equal_records(self, tmp_path_factory, seed, m, n,
+    def test_trace_csv_round_trip_returns_equal_steps(self, tmp_path_factory, seed, m, n,
                                                         variant, known):
         rng = np.random.default_rng(seed)
         mat = rng.standard_normal((m, n))
@@ -345,7 +357,7 @@ class TestEmission:
                               seed=seed, max_iters=100)
         trace = run(problem, config)
         path = write_trace_csv(trace, tmp_path_factory.mktemp("trace") / "t.csv")
-        assert read_trace_csv(path).records == trace.records
+        assert_same_steps(read_trace_csv(path), trace)
 
     def test_older_metadata_line_loads(self, tmp_path):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=12))
@@ -359,7 +371,7 @@ class TestEmission:
         path.write_text("# " + json.dumps(meta) + "\n" + rest)
         loaded = read_trace_csv(path)
         assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
-        assert loaded.records == trace.records
+        assert_same_steps(loaded, trace)
 
     @pytest.mark.parametrize("variant", ["cyclic", "rk", "grk", "mgrk"])
     @pytest.mark.parametrize("known", [True, False])
@@ -373,10 +385,9 @@ class TestEmission:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2  # metadata comment + column header
         loaded = read_trace_csv(path)
-        assert loaded.records == []
         # Each step column is None in the loaded trace just where it is in memory.
-        for name in ("index", "set_size", "gamma", "err_sq", "res_sq"):
-            assert (getattr(loaded, name) is None) == (getattr(trace, name) is None), name
+        assert loaded.iterations == 0
+        assert_same_steps(loaded, trace)
 
     @pytest.mark.parametrize("edit, fields", [("blank", 0), ("short", 5), ("long", 7)])
     @pytest.mark.parametrize("row", [2, -1], ids=["middle", "last"])
@@ -393,6 +404,24 @@ class TestEmission:
         with pytest.raises(ValueError, match=f"line {line} has {fields} fields, expected 6"):
             read_trace_csv(path)
 
+    # Each edit of a 50-step grk trace once loaded and certified.
+    @pytest.mark.parametrize("edit, k", [
+        (lambda rows: rows.pop(10), "'11'"),
+        (lambda rows: rows[10].__setitem__(0, "x"), "'x'"),
+    ], ids=["deleted-step", "text-k"])
+    def test_rows_out_of_step_order_refused(self, tmp_path, edit, k):
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=10, seed=1))
+        path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=1, max_iters=50)),
+                               tmp_path / "t.csv")
+        first, header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        assert len(rows) == 50
+        edit(rows)
+        path.write_text("\n".join([first, header, *map(",".join, rows)]) + "\n")
+        # Step 10 is on line 13, below the metadata line and the header.
+        with pytest.raises(ValueError, match=f"line 13 has k = {k}, expected 10"):
+            read_trace_csv(path)
+
     # A dict is merged into the written metadata line; a string replaces it.
     @pytest.mark.parametrize("meta, message", [
         ('{"variant": "grk"}', "not a JSON object with the keys termination, initial_err_sq"),
@@ -405,9 +434,10 @@ class TestEmission:
         ({"termination": 3}, "termination 3 is not one of rse_tol, residual_tol"),
         ({"initial_res_sq": True}, "initial_res_sq is true, not a number"),
         ({"x_star_norm_sq": None}, "x_star_norm_sq is null; only"),
+        ({"seed": True}, "solver settings: seed must be an integer, got True"),
     ], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
             "quoted-number", "list-metric", "unknown-termination", "bool-metric",
-            "one-null-of-x-star"])
+            "one-null-of-x-star", "bool-seed"])
     def test_malformed_metadata_refused(self, tmp_path, meta, message):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
         path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),

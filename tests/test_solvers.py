@@ -38,6 +38,7 @@ from kaczmarz.solvers import (
     Trace,
     run,
 )
+from trace_checks import assert_same_steps
 
 DIAG_PROBLEM = Problem(
     RowAccessMatrix([[1.0, 0.0], [0.0, 2.0]]), [1.0, 4.0], x_star=[1.0, 2.0])
@@ -71,7 +72,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(variant="grk", beta=0.5)
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
-        for bad in ({"seed": -1}, {"seed": 1.5}, {"max_iters": 10.5}, {"max_iters": 0}):
+        # A bool once passed as 0 or 1, so JSON true loaded as seed 1.
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"seed": True}, {"max_iters": 10.5},
+                    {"max_iters": 0}, {"max_iters": True}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 SolverConfig(**bad)
         # numpy integers are stored as int, which the trace metadata's JSON takes.
@@ -100,9 +103,9 @@ def err_history(trace):
     return np.concatenate(([trace.initial_err_sq], trace.err_sq))
 
 
-def row_residual_after(problem, rec, x):
-    """|<a_i, x> - b_i| for the row a record projected onto and the iterate after it."""
-    return abs(problem.A.row_dot(rec.index, x) - problem.b[rec.index])
+def row_residual_after(problem, i, x):
+    """|<a_i, x> - b_i| for the row a step projected onto and the iterate after it."""
+    return abs(problem.A.row_dot(i, x) - problem.b[i])
 
 
 def project(x, a_i, b_i, alpha=1.0, known=False):
@@ -221,8 +224,8 @@ class TestRunHandTrace:
         assert trace.iterations == 2
         assert trace.termination == "rse_tol"
         assert trace.selections() == [1, 0]
-        assert [rec.gamma for rec in trace.records] == [5.0, 1.0]
-        assert [rec.set_size for rec in trace.records] == [1, 1]
+        assert trace.gamma.tolist() == [5.0, 1.0]
+        assert trace.set_size.tolist() == [1, 1]
         np.testing.assert_allclose(trace.iterates[1], [0.0, 2.0])
         np.testing.assert_allclose(trace.iterates[2], [1.0, 2.0])
         np.testing.assert_allclose(err_history(trace), [5.0, 1.0, 0.0])
@@ -255,7 +258,7 @@ class TestRunBehavior:
         cfg = SolverConfig(variant="grk", seed=77)
         t1, t2 = run(problem, cfg), run(problem, cfg)
         assert t1.selections() == t2.selections()
-        assert [r.err_sq for r in t1.records] == [r.err_sq for r in t2.records]
+        assert_same_steps(t1, t2)
         assert t1.termination == t2.termination
 
     def test_different_seeds_differ(self):
@@ -270,7 +273,7 @@ class TestRunBehavior:
         mgrk = run(problem, SolverConfig(variant="mgrk", beta=0.0,
                                          gamma_mode="frobenius", seed=5))
         assert grk.selections() == mgrk.selections()
-        assert [r.err_sq for r in grk.records] == [r.err_sq for r in mgrk.records]
+        assert_same_steps(grk, mgrk)
 
     def test_monotone_error_without_momentum(self):
         problem = random_problem(50, 12, seed=16, kappa=20.0)
@@ -285,8 +288,8 @@ class TestRunBehavior:
         trace = run(problem, SolverConfig(variant="grk", seed=4, max_iters=300),
                     capture_iterates=True)
         tol = 1e-10 * np.max(np.abs(problem.b))
-        assert all(row_residual_after(problem, rec, x) <= tol
-                   for rec, x in zip(trace.records, trace.iterates[1:]))
+        assert all(row_residual_after(problem, i, x) <= tol
+                   for i, x in zip(trace.selections(), trace.iterates[1:]))
 
     def test_range_confinement(self):
         problem = random_problem(12, 6, rank=4, seed=18)
@@ -318,7 +321,7 @@ class TestRunBehavior:
         assert trace.termination == "residual_tol"
         assert trace.initial_err_sq is None
         b_norm_sq = float(problem.b @ problem.b)
-        assert trace.records[-1].res_sq / b_norm_sq <= 1e-14
+        assert trace.res_sq[-1] / b_norm_sq <= 1e-14
 
     def test_rse_tol_bounds_the_residual_without_x_star(self):
         base = random_problem(30, 8, seed=21, kappa=3.0)
@@ -326,8 +329,8 @@ class TestRunBehavior:
         trace = run(problem, SolverConfig(variant="grk", seed=9, rse_tol=1e-4))
         assert trace.termination == "residual_tol"
         b_norm_sq = float(problem.b @ problem.b)
-        assert trace.records[-1].res_sq / b_norm_sq <= 1e-4
-        assert all(rec.res_sq / b_norm_sq > 1e-4 for rec in trace.records[:-1])
+        assert trace.res_sq[-1] / b_norm_sq <= 1e-4
+        assert np.all(trace.res_sq[:-1] / b_norm_sq > 1e-4)
 
     def test_max_iters_reported(self):
         problem = random_problem(50, 10, seed=22, kappa=50.0)
@@ -353,9 +356,9 @@ class TestRunBehavior:
         cfg = SolverConfig(variant="mgrk", beta=0.3, seed=12, max_iters=2500,
                            rse_tol=1e-28)
         trace = run(problem, cfg, capture_iterates=True)
-        for rec, x in zip(trace.records[::250], trace.iterates[1::250]):
+        for res_sq, x in zip(trace.res_sq[::250].tolist(), trace.iterates[1::250]):
             exact = float(np.sum((problem.A.matvec(x) - problem.b) ** 2))
-            assert rec.res_sq == pytest.approx(exact, rel=1e-6, abs=1e-20)
+            assert res_sq == pytest.approx(exact, rel=1e-6, abs=1e-20)
 
 
 class TestGammaModeOrdering:
@@ -490,12 +493,12 @@ def test_err_sq_is_bitwise_numpy_sum_of_squares(variant, beta, storage):
     x_star = problem.x_star
     assert trace.initial_err_sq == float(np.sum((trace.iterates[0] - x_star) ** 2))
     assert len(trace.iterates) == trace.iterations + 1 > 30
-    for rec, x in zip(trace.records, trace.iterates[1:]):
-        assert rec.err_sq == float(np.sum((x - x_star) ** 2))
+    for err_sq, x in zip(trace.err_sq.tolist(), trace.iterates[1:]):
+        assert err_sq == float(np.sum((x - x_star) ** 2))
 
 
 # A CSR greedy run with m >= 12000, no x*, printed as JSON: the initial ||r||^2,
-# the termination and every record.  OpenBLAS splits a dot over threads from
+# the termination and every step column.  OpenBLAS splits a dot over threads from
 # m = 10000 on.
 _CSR_RUN = """
 import json, sys
@@ -510,7 +513,10 @@ A = RowAccessMatrix(sp.random_array((m, n), density=6 / n, format="csr", rng=rng
 problem = Problem(A, A.matvec(rng.standard_normal(n)))
 trace = run(problem, SolverConfig(variant=sys.argv[1], beta=float(sys.argv[2]), seed=1,
                                   max_iters=300))
-print(json.dumps([trace.initial_res_sq, trace.termination, *map(list, trace.records)]))
+print(json.dumps([trace.initial_res_sq, trace.termination,
+                  *(None if col is None else col.tolist()
+                    for col in (trace.index, trace.set_size, trace.gamma, trace.err_sq,
+                                trace.res_sq))]))
 """
 
 
@@ -526,7 +532,7 @@ def test_csr_trace_does_not_depend_on_blas_threads(variant, beta):
         proc = subprocess.run([sys.executable, "-c", _CSR_RUN, variant, str(beta)], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(json.loads(proc.stdout))
-    assert len(outputs[0]) == 302
+    assert len(outputs[0]) == 7 and len(outputs[0][2]) == 300
     assert outputs[0] == outputs[1]
 
 
@@ -574,14 +580,14 @@ class TestResidualFreePath:
         assert_same_run(trace, reference_row_action(problem, config))
 
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
-    def test_records_carry_no_residual(self, variant):
+    def test_steps_carry_no_residual(self, variant):
         problem = random_problem(40, 8, seed=32, kappa=3.0)
         trace = run(problem, SolverConfig(variant=variant, seed=2, max_iters=300),
                     capture_iterates=True)
-        assert all(rec.res_sq is None for rec in trace.records)
+        assert trace.iterations and trace.res_sq is None
         tol = 1e-10 * np.max(np.abs(problem.b))
-        assert all(row_residual_after(problem, rec, x) <= tol
-                   for rec, x in zip(trace.records, trace.iterates[1:]))
+        assert all(row_residual_after(problem, i, x) <= tol
+                   for i, x in zip(trace.selections(), trace.iterates[1:]))
 
     @pytest.mark.parametrize("variant", ["rk", "cyclic"])
     def test_residual_stopping_without_x_star(self, variant):
@@ -590,11 +596,11 @@ class TestResidualFreePath:
         trace = run(problem, SolverConfig(variant=variant, seed=4, max_iters=50_000,
                                           rse_tol=1e-14), capture_iterates=True)
         assert trace.termination == "residual_tol"
-        for rec, x in zip(trace.records, trace.iterates[1:]):
+        for res_sq, x in zip(trace.res_sq.tolist(), trace.iterates[1:]):
             exact = float(np.sum((problem.A.matvec(x) - problem.b) ** 2))
-            assert rec.res_sq == pytest.approx(exact, rel=1e-6, abs=1e-24)
+            assert res_sq == pytest.approx(exact, rel=1e-6, abs=1e-24)
         b_norm_sq = float(problem.b @ problem.b)
-        assert trace.records[-1].res_sq / b_norm_sq <= 1e-14
+        assert trace.res_sq[-1] / b_norm_sq <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 40), n=st.integers(1, 10),
@@ -617,16 +623,16 @@ class TestNonfinite:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(problem, SolverConfig(variant="mgrk", beta=3.0, seed=0, max_iters=5000))
         assert trace.termination == "nonfinite"
-        assert not np.isfinite(trace.records[-1].res_sq)
-        assert all(np.isfinite(rec.res_sq) for rec in trace.records[:-1])
+        assert not np.isfinite(trace.res_sq[-1])
+        assert np.all(np.isfinite(trace.res_sq[:-1]))
 
     def test_diverging_residual_free_run_ends_nonfinite(self):
         problem = random_problem(30, 6, seed=34, kappa=3.0)
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(problem, SolverConfig(variant="cyclic", alpha=3.0, max_iters=100_000))
         assert trace.termination == "nonfinite"
-        assert trace.records[-1].res_sq is None
-        assert not np.isfinite(trace.records[-1].err_sq)
+        assert trace.iterations and trace.res_sq is None
+        assert not np.isfinite(trace.err_sq[-1])
 
     @pytest.mark.parametrize("config", [SolverConfig(variant="mgrk", beta=3.0, max_iters=5000),
                                         SolverConfig(variant="grk", alpha=2.5, max_iters=5000)])
@@ -687,7 +693,7 @@ class TestPathwiseProperties:
         config = SolverConfig(variant=variant, beta=0.2 if variant == "mgrk" else 0.0,
                               seed=seed, max_iters=200)
         first, second = run(problem, config), run(problem, config)
-        assert first.records == second.records
+        assert_same_steps(first, second)
         assert np.array_equal(first.final_x, second.final_x)
 
 
@@ -717,21 +723,15 @@ class TestRoundingFloor:
         trace = run(problem, SolverConfig(variant=variant, gamma_mode=gamma_mode,
                                           beta=beta, rse_tol=1e-300))
         assert trace.termination == "converged"
-        assert trace.records[-1].res_sq <= 1e-20 * float(problem.b @ problem.b)
+        assert trace.res_sq[-1] <= 1e-20 * float(problem.b @ problem.b)
 
 
 def assert_same_run(trace, reference):
-    """Bit-equal runs: the records compare by repr, so NaN and the sign of zero count."""
+    """Bit-equal runs: the step columns compare as ``assert_same_steps`` does, so
+    NaN and the sign of zero count, and a failure names its first differing step."""
     assert trace.config == reference.config
     assert trace.termination == reference.termination
-    # Step by step, so a failure names its first differing step instead of
-    # diffing two reprs of the whole run.
-    records, expected = trace.records, reference.records
-    first = next((k for k, (ours, theirs) in enumerate(zip(records, expected))
-                  if repr(ours) != repr(theirs)),
-                 None if len(records) == len(expected) else min(len(records), len(expected)))
-    assert first is None, \
-        f"step {first} of {len(expected)}: {records[first:first + 1]} != {expected[first:first + 1]}"
+    assert_same_steps(trace, reference)
     assert (trace.initial_err_sq, trace.initial_res_sq) == \
         (reference.initial_err_sq, reference.initial_res_sq)
     assert np.array_equal(trace.final_x, reference.final_x, equal_nan=True)
@@ -879,21 +879,21 @@ class TestTrials:
             steps = [i for trace in traces for i in trace.selections()]
             assert sorted(updates) == (sorted(steps) if per_trial else [])
 
-    def test_trials_must_be_positive(self):
+    @pytest.mark.parametrize("trials", [0, 2.5, True, False])
+    def test_trials_must_be_positive(self, trials):
+        # True once ran one trial and returned its trace; 2.5 raised TypeError.
         with pytest.raises(ValueError, match="trials"):
-            run(DIAG_PROBLEM, SolverConfig(), trials=0)
+            run(DIAG_PROBLEM, SolverConfig(), trials=trials)
 
-    def test_rk_trials_round_trip_and_refuse_certification(self, tmp_path, monkeypatch):
+    def test_rk_trials_round_trip_and_refuse_certification(self, tmp_path):
         problem = random_problem(60, 10, seed=4, kappa=3.0)
         traces = run(problem, SolverConfig(variant="rk", seed=2, max_iters=4000), trials=4)
         for t, trace in enumerate(traces):
             assert trace.set_size is None and trace.gamma is None and trace.res_sq is None
             loaded = read_trace_csv(write_trace_csv(trace, tmp_path / f"{t}.csv"))
-            assert repr(loaded.records) == repr(trace.records)
+            assert_same_steps(loaded, trace)
             assert loaded.index.dtype == np.int64 and np.array_equal(loaded.index, trace.index)
             assert np.array_equal(loaded.err_sq, trace.err_sq)
-        # The refusal comes from the missing gamma column, not from a built record.
-        monkeypatch.setattr(Trace, "records", property(lambda self: pytest.fail("records built")))
         with pytest.raises(ValueError, match="no gamma"):
             certify_trace(traces[0], smallest_nonzero_singular_value(problem.A) ** 2)
 
@@ -979,7 +979,7 @@ class TestTrials:
                      trials=4)
         for t, trace in enumerate(traces):
             loaded = read_trace_csv(write_trace_csv(trace, tmp_path / f"{t}.csv"))
-            assert repr(loaded.records) == repr(trace.records)
+            assert_same_steps(loaded, trace)
             assert loaded.set_size.dtype == np.int64
             if variant == "grk":
                 assert certify_trace(loaded, sigma_sq).passed
