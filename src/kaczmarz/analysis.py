@@ -270,9 +270,12 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     refuses a trace without the error metric or (rk, cyclic) gamma, a
     ``sigma_min_sq`` or recorded ||A||_F^2 that is not finite and positive,
     an initial squared error that is not finite and nonnegative, a recorded
-    gamma that is not finite and positive, alpha outside (0, 2) without
-    momentum or (0, 1 + beta) with it, and an infeasible momentum envelope,
-    naming ``beta_upper`` when alpha <= 1.  A NaN error is a violation.
+    gamma that is not finite and positive or that exceeds the recorded
+    ||A||_F^2 by more than a relative 1e-12 (a genuine gamma exceeds it by
+    rounding at most, and a larger one loosens the per-step bound), alpha
+    outside (0, 2) without momentum or (0, 1 + beta) with it, and an
+    infeasible momentum envelope, naming ``beta_upper`` when alpha <= 1.  A
+    NaN error is a violation.
     """
     if trace.initial_err_sq is None or trace.err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
@@ -288,6 +291,11 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
         raise ValueError("trace has no gamma; certification applies to greedy traces only")
     if not np.all((trace.gamma > 0.0) & (trace.gamma < math.inf)):
         raise ValueError("every recorded gamma must be finite and positive")
+    # Each gamma sums row norms out of ||A||_F^2; 1e-12 covers the rounding.
+    top = float(trace.gamma.max(initial=0.0))
+    if not top <= trace.frobenius_sq * (1.0 + 1e-12):
+        raise ValueError(f"a recorded gamma, {top!r}, exceeds the recorded ||A||_F^2, "
+                         f"{trace.frobenius_sq!r}, by more than a relative 1e-12")
     errs = trace.err_sq
     checked = len(errs)
 

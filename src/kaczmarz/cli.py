@@ -75,6 +75,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     flag("--max-iters", type=int)
 
 
+def _yes_no(text: str) -> bool:
+    """A --certify value: true, yes or 1, or false, no or 0, in any case."""
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(text.strip().lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected true, false, yes, no, 1 or 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kaczmarz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,7 +103,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--methods", default=None,
                          help="comma list of method specs, e.g. 'grk,mgrk:beta=0.4'")
     p_bench.add_argument("--trials", type=int, default=20)
-    p_bench.add_argument("--certify", action="store_true",
+    p_bench.add_argument("--certify", nargs="?", const=True, default=False, type=_yes_no,
                          help="check each trace against its convergence bound")
     p_bench.add_argument("--config", default=None, help="key=value config file")
     p_bench.add_argument("--out", default=None, help="result file path")
@@ -116,7 +125,8 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--trace", required=True, help="trace CSV from 'solve'")
     p_cert.add_argument("--sigma-min-sq", type=float, default=None)
     p_cert.add_argument("--matrix", default=None,
-                        help="recompute sigma_min from this Matrix Market file")
+                        help="the trace's Matrix Market file: its ||A||_F^2 must match the "
+                             "trace's, and it gives sigma_min unless --sigma-min-sq is set")
     return parser
 
 
@@ -135,10 +145,7 @@ def _config_flags(path) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key.strip() == "certify":
-            flags += ["--certify"] if value.strip().lower() in ("1", "true", "yes") else []
-        else:
-            flags.append(_flag(key, value))
+        flags.append(_flag(key, value))
     return flags
 
 
@@ -290,10 +297,16 @@ def _cmd_bound(args) -> int:
 
 def _cmd_certify(args) -> int:
     trace = read_trace_csv(args.trace)
-    if args.sigma_min_sq is not None:
-        sigma_sq = args.sigma_min_sq
-    else:
-        sigma_sq = smallest_nonzero_singular_value(read_matrix_market(args.matrix)) ** 2
+    sigma_sq = args.sigma_min_sq
+    if args.matrix:
+        A = read_matrix_market(args.matrix)
+        # A trace of another matrix would be held to that matrix's sigma_min.
+        if not abs(trace.frobenius_sq - A.frobenius_sq) <= 1e-9 * A.frobenius_sq:
+            raise ValueError(f"{args.trace}: the trace's ||A||_F^2, {trace.frobenius_sq!r}, "
+                             f"differs from {args.matrix}'s, {A.frobenius_sq!r}, "
+                             "by more than a relative 1e-9")
+        if sigma_sq is None:
+            sigma_sq = smallest_nonzero_singular_value(A) ** 2
     result = certify_trace(trace, sigma_sq)
     if result.passed:
         print(f"certified: {result.checked} steps satisfy the {result.mode} bound")

@@ -145,10 +145,10 @@ class Trace:
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
     ``config.rse_tol``), ``converged``, ``max_iters`` or ``nonfinite`` (a
     metric overflowed).  ``converged`` ends a greedy run at the rounding
-    floor: either every |r_i| is at most ``1e-14 * max(1, ||b||_inf)``, or,
-    in exact gamma mode, the rows below that level carry so much of ||r||^2
-    that no row above it reaches the mean level ||r||^2/gamma, which sums
-    only over the rows above it.
+    floor.  One test holds in every gamma mode: every |r_i| is at most
+    ``1e-14 * max(1, ||b||_inf)``.  Exact gamma mode also stops when the rows
+    below that level carry so much of ||r||^2 that no row above it reaches
+    the mean level ||r||^2/gamma, which sums only over the rows above it.
     """
 
     TERMINATIONS: ClassVar[tuple[str, ...]] = (
@@ -229,30 +229,25 @@ class _GreedyRule(NamedTuple):
 
     def select(self, A, r, scores, loud, res_sq, last_index, rng):
         """One step's sampled row, its greedy set's size and gamma; None when
-        the run has converged.
+        the run has converged (see ``Trace``).
 
-        ``scores`` are r_i^2/||a_i||^2 and, in exact mode, ``loud`` is the mask
-        |r_i| > tau_res.  ``last_index`` is the previous step's row, None
-        before the first step.  ``active_set_gamma``, ``greedy_set``,
-        ``sampling_distribution`` and ``sample_index`` are called by their
-        module names, once each.
+        ``scores`` are r_i^2/||a_i||^2, ``loud`` the mask |r_i| > tau_res
+        (read in exact mode only) and ``last_index`` the previous step's row,
+        None before the first step (read in lastrow mode only).  The converged
+        test is the same in every gamma mode: no |r_i| exceeds tau_res.
+        ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
+        ``sample_index`` are called by their module names, once each.
         """
-        exact = self.gamma_mode is GammaMode.EXACT
-        gamma = active_set_gamma(A, self.gamma_mode, loud,
-                                 last_index if self.gamma_mode is GammaMode.LAST_ROW else None)
-        # Row norms are positive, so exact-mode gamma is zero just when no row
-        # is loud.
-        if exact:
-            quiet = gamma == 0.0
-        else:
-            quiet = res_sq <= self.loud_floor and not np.any(np.abs(r) > self.tau_res)
-        if quiet:
+        gamma = active_set_gamma(A, self.gamma_mode, loud, last_index)
+        # One converged test for every gamma mode; ||r||^2 above the floor
+        # proves some |r_i| > tau_res without reading r.
+        if res_sq <= self.loud_floor and not np.any(np.abs(r) > self.tau_res):
             return None
         try:
             indices = greedy_set(A, scores, res_sq, gamma, self.theta)
         except GreedyCertificateError:
             # Only the rounding floor gets here: see ``Trace``.
-            if not exact:
+            if self.gamma_mode is not GammaMode.EXACT:
                 raise
             return None
         probs = sampling_distribution(r, indices, self.prob_rule)
@@ -339,9 +334,9 @@ def run(
     step's greedy scores.  Greedy runs also keep, in exact gamma mode, the
     mask |r_i| > tau.  A CSR step without momentum updates the squares, the
     scores and the mask on its image's support; every other step, and each
-    refresh, recomputes them for the whole block.  The other gamma modes read
-    the mask only to detect a zero residual, and skip it while
-    ||r||^2 > 2 m tau^2 proves some row is above tau.
+    refresh, recomputes them for the whole block.  The converged test, the
+    same in every gamma mode, reads r only once ||r||^2 <= 2 m tau^2, as a
+    larger ||r||^2 proves some row is above tau.
     """
     if trials is not None:
         trials = _count("trials", trials, 1)
@@ -433,14 +428,6 @@ def run(
                 picks = np.tile(np.arange(k, k + size) % A.m, (len(live), 1))
         if new_block or j == 0:
             segments.append((members, {name: block[:filled] for name, block in record.items()}))
-            xs, xs_prev, rs, rs_prev, sq_rows, score_rows = (
-                None if block is None else list(block)
-                for block in (X, X_prev, R, R_prev, R_sq, scores))
-            xs_new, rs_new = (xs_prev, rs_prev) if momentum else (xs, rs)
-            loud_rows = [None] * len(live) if loud is None else list(loud)
-            trial_rows = () if batched else range(len(live))
-            # The per-trial step reads rk and cyclic picks as Python ints.
-            pick_cols = None if picks is None or batched else picks.T.tolist()
             # Room for the steps up to the next draw of rk picks or the last step.
             span = (min(_RK_BLOCK, config.max_iters - k + j) - j, len(live))
             members, record, filled = live, {name: np.empty(span, dtype)
@@ -449,6 +436,7 @@ def run(
                 record["index"] = picks[:, j:].T
             rec_index, rec_size, rec_gamma, rec_err, rec_res = map(record.get, _STEP_COLUMNS)
             new_block = False
+        X_new, R_new = (X_prev, R_prev) if momentum else (X, R)
         if momentum:
             # One heavy-ball form for both blocks: see the docstring.
             for cur, prev in ((X, X_prev), (R, R_prev)):
@@ -458,40 +446,34 @@ def run(
                     prev += cur
 
         # Each trial's step on Python floats, from its own rows of the blocks.
-        if greedy:
-            idx, sizes, gammas = [], [], []
-        elif pick_cols:
-            idx = pick_cols[j]
-        for p in trial_rows:
+        for p in () if batched else range(len(live)):
             if greedy:
-                # A converged trial records placeholders, which its trace drops.
-                i, set_size, gamma = rule.select(A, rs[p], score_rows[p], loud_rows[p], res[p],
-                                                 last[p], rngs[p]) or (0, 0, 0.0)
-                idx.append(i)
-                sizes.append(set_size)
-                gammas.append(gamma)
-                if not set_size:
-                    ends[live[p]] = (k, "converged", xs[p].copy())
+                pick = rule.select(A, R[p], scores[p], None if loud is None else loud[p],
+                                   res[p], last[p], rngs[p])
+                if pick is None:
+                    # Its entry in this step's record stays unset; its trace ends before it.
+                    ends[live[p]] = (k, "converged", X[p].copy())
                     gone.append(p)
                     continue
-                last[p] = i
+                i, rec_size[filled, p], rec_gamma[filled, p] = pick
+                last[p] = rec_index[filled, p] = i
             else:
-                i = idx[p]
-            r_i = R.item(p, i) if keeps_r else A.row_dot(i, xs[p]) - b.item(i)
+                i = picks.item(p, j)
+            r_i = R.item(p, i) if keeps_r else A.row_dot(i, X[p]) - b.item(i)
             coeff = alpha * r_i / row_norms_sq.item(i)
-            A.axpy_row(i, -coeff, xs_new[p])
+            A.axpy_row(i, -coeff, X_new[p])
             if keeps_r:
                 rows, values = images.image(i)
-                r = rs_new[p]
+                r = R_new[p]
                 r[rows] -= coeff * values
                 if support_update:
                     r_rows = r[rows]
                     sq = r_rows * r_rows
-                    sq_rows[p][rows] = sq
+                    R_sq[p][rows] = sq
                     if greedy:
-                        score_rows[p][rows] = sq / row_norms_sq[rows]
+                        scores[p][rows] = sq / row_norms_sq[rows]
                         if exact:
-                            loud_rows[p][rows] = np.abs(r_rows) > rule.tau_res
+                            loud[p][rows] = np.abs(r_rows) > rule.tau_res
         if batched:
             column = picks[:, j]
             rows = A.to_dense().take(column, axis=0)
@@ -500,8 +482,7 @@ def run(
             rows *= coeff[:, None]
             X -= rows
         if momentum:
-            X, X_prev, xs, xs_prev, xs_new = X_prev, X, xs_prev, xs, xs
-            R, R_prev, rs, rs_prev, rs_new = R_prev, R, rs_prev, rs, rs
+            X, X_prev, R, R_prev = X_prev, X, R_prev, R
 
         if keeps_r:
             refresh = (k + 1) % REFRESH_EVERY == 0
@@ -518,17 +499,13 @@ def run(
                     if exact:
                         np.greater(np.abs(R), rule.tau_res, out=loud)
             res = np.add.reduce(R_sq, 1, None, rec_res[filled]).tolist()
-        if greedy:
-            rec_index[filled] = idx
-            rec_size[filled] = sizes
-            rec_gamma[filled] = gammas
         if known:
             np.subtract(X, X_star, out=buf)
             np.multiply(buf, buf, out=buf)
             errs = np.add.reduce(buf, 1, None, rec_err[filled]).tolist()
         filled += 1
         if capture_iterates:
-            for t, x_t in zip(live, xs):
+            for t, x_t in zip(live, X):
                 iterates[t].append(x_t.copy())
 
         # One test of every trial's metrics finds whether any trial stops.
@@ -536,7 +513,7 @@ def run(
             for p, t in enumerate(live):
                 reason = _stop_reason(errs[p:p + 1], res[p:p + 1], err_denom, res_denom, rse_tol)
                 if reason is not None and t not in ends:
-                    ends[t] = (k + 1, reason, xs[p].copy())
+                    ends[t] = (k + 1, reason, X[p].copy())
                     gone.append(p)
         if gone:
             if len(gone) == len(live):

@@ -357,6 +357,25 @@ class TestCertifyTrace:
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             certify_trace(trace, 1.0)
 
+    # A gamma of 1e300 makes each per-step factor 1, so a trace whose error
+    # never falls was once certified.  A genuine trace's largest gamma is
+    # ||A||_F^2 itself, and a gamma a rounding step above it is kept.
+    @pytest.mark.parametrize("gamma_mode", ["exact", "lastrow", "frobenius"])
+    def test_gamma_above_the_frobenius_mass_is_refused(self, gamma_mode):
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=10, seed=1))
+        trace = run(problem, SolverConfig(variant="grk", gamma_mode=gamma_mode, seed=1))
+        frob, sigma_sq = trace.frobenius_sq, smallest_nonzero_singular_value(problem.A) ** 2
+        assert trace.gamma.max() == frob
+        assert certify_trace(trace, sigma_sq).passed
+        trace.gamma[0] = np.nextafter(frob, math.inf)
+        assert certify_trace(trace, sigma_sq).passed
+        trace.err_sq[:] = trace.initial_err_sq
+        for gamma in (frob * (1.0 + 1e-11), 1e300):
+            trace.gamma[:] = gamma
+            with pytest.raises(ValueError, match=r"exceeds the recorded \|\|A\|\|_F\^2, "
+                                                 r".*, by more than a relative 1e-12"):
+                certify_trace(trace, sigma_sq)
+
     def test_envelope_is_the_scalar_bound_at_every_step(self):
         report = momentum_factors(1.0, 0.05, 1.0, _MGRK_TRACE.frobenius_sq)
         err0 = _MGRK_TRACE.initial_err_sq

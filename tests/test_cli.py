@@ -143,6 +143,24 @@ def test_bench_config_file_format_checked_before_solving(tmp_path, capsys, monke
     assert "format" in capsys.readouterr().err
 
 
+def test_bench_config_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("m = 40\nn 8\n")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert f"{cfg}:2: expected key=value, got 'n 8'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, certify", [
+    ("true", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)])
+def test_config_certify_values(tmp_path, value, certify):
+    # A config line overrides the flag, either way.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"certify = {value}\n")
+    for flags in ([], ["--certify"]):
+        args = cli._parse_args(["bench", *flags, "--config", str(cfg)])
+        assert args.experiment.certify is certify
+
+
 def test_bench_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble = 3\n")
@@ -178,6 +196,13 @@ def test_bound_reports_a_complexity_error_as_its_other_sections_do(capsys):
     assert set(report["complexity"]) == {"error"}
     assert report["complexity"]["error"].startswith("need 0 < epsilon < err0_sq, got 1000000000.0")
     assert report["rate"]["igrk_factor"] > 0.0 and report["momentum"]["feasible"] is True
+
+
+def test_bound_writes_its_report_to_out(tmp_path, capsys):
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--m", "30", "--n", "6", "--seed", "7", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"report written to {out}\n"
+    assert set(json.loads(out.read_text())) == {"rate", "momentum", "complexity"}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -322,6 +347,42 @@ def test_certify_rejects_nonfinite_or_nonpositive_values(tmp_path, capsys, edit,
     assert capsys.readouterr().err.strip() == message
 
 
+def test_certify_refuses_a_gamma_above_the_frobenius_mass(tmp_path, capsys):
+    # Every gamma at 1e300 makes each per-step factor 1: this trace, whose
+    # error never falls, was once certified.
+    def edit(meta, rows):
+        for row in rows:
+            row[3], row[4] = "1e300", repr(meta["initial_err_sq"])
+
+    path = _edited_grk_trace(tmp_path / "g.csv", edit)
+    frob = read_trace_csv(path).frobenius_sq
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"kaczmarz: error: a recorded gamma, 1e+300, exceeds the recorded ||A||_F^2, "
+        f"{frob!r}, by more than a relative 1e-12")
+
+
+@pytest.mark.parametrize("sigma", [[], ["--sigma-min-sq", "1"]], ids=["svd", "given"])
+def test_certify_refuses_the_matrix_of_another_problem(tmp_path, capsys, sigma):
+    # The seed-1 trace was once certified against the seed-2 matrix.
+    trace_path = _edited_grk_trace(tmp_path / "g.csv", lambda meta, rows: None)
+    for seed in (1, 2):
+        main(["gen", "--m", "60", "--n", "10", "--seed", str(seed),
+              "--out", str(tmp_path / f"p{seed}")])
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(trace_path), "--matrix", str(tmp_path / "p1_A.mtx"),
+                 *sigma]) == 0
+    other = tmp_path / "p2_A.mtx"
+    assert main(["certify", "--trace", str(trace_path), "--matrix", str(other), *sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("certified: 50 steps")
+    assert captured.err.startswith(f"kaczmarz: error: {trace_path}: the trace's ||A||_F^2, ")
+    assert captured.err.strip().endswith(
+        f"differs from {other}'s, {read_matrix_market(other).frobenius_sq!r}, "
+        "by more than a relative 1e-9")
+
+
 def _edited_grk_trace(path, edit):
     """A 50-step grk trace (60 x 10, seed 1) written to ``path`` by ``solve``,
     then rewritten after ``edit(meta, rows)`` of its metadata and step rows."""
@@ -433,6 +494,7 @@ BAD_SETTINGS = [
     (["gen", "--matrix", "a.mtx", "--out", "p"], None),
     (["bench"], "method = foo"),
     (["bench"], "m = abc"),
+    (["bench"], "certify = banana"),
 ]
 
 

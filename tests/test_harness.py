@@ -114,6 +114,15 @@ class TestMatrixMarket:
         A = read_matrix_market(path)
         np.testing.assert_allclose(A.to_dense(), [[3.0, 5.0], [5.0, 0.0]])
 
+    def test_skew_symmetric_rejected(self, tmp_path):
+        path = tmp_path / "skew.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+            "2 2 1\n"
+            "2 1 5.0\n")
+        with pytest.raises(ValueError, match="symmetry 'skew-symmetric' is not supported"):
+            read_matrix_market(path)
+
     def test_array_format(self, tmp_path):
         path = tmp_path / "arr.mtx"
         path.write_text(
@@ -446,6 +455,21 @@ class TestEmission:
         if isinstance(meta, dict):
             meta = json.dumps({**json.loads(first[1:]), **meta})
         path.write_text("# " + meta + "\n" + rest)
+        with pytest.raises(ValueError, match=message) as info:
+            read_trace_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[1:], "missing metadata line"),
+        (lambda lines: [lines[0], lines[1].replace("gamma", "theta"), *lines[2:]],
+         "the column header is not k,index,set_size,gamma,err_sq,res_sq"),
+        (lambda lines: lines[:1], "the column header is not"),
+    ], ids=["no-metadata-line", "wrong-header", "no-header"])
+    def test_trace_file_without_metadata_or_header_refused(self, tmp_path, edit, message):
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
+        path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
+                               tmp_path / "t.csv")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=message) as info:
             read_trace_csv(path)
         assert str(info.value).startswith(f"{path}: ")

@@ -112,6 +112,15 @@ class TestGreedySet:
             with pytest.raises(GreedyCertificateError):
                 select(DIAG, [1.0e154, 1.3e154], gamma=5.0)
 
+    @pytest.mark.parametrize("theta", [-0.1, 1.5, float("nan")])
+    def test_theta_outside_the_unit_interval_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            select(DIAG, [-1.0, -4.0], gamma=5.0, theta=theta)
+
+    def test_scores_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="scores have length 3, expected 2"):
+            greedy_set(DIAG, np.ones(3), 3.0, 5.0)
+
     def test_residual_with_infinite_squares_rejected(self):
         # Every r_i^2 is inf, so every score would clear an inf threshold.
         with np.errstate(over="ignore"):
@@ -193,6 +202,16 @@ class TestSamplingDistribution:
         probs = sampling_distribution(
             np.array([-1.0, -2.0, 5.0]), np.array([0, 1, 2]), ProbabilityRule.UNIFORM)
         np.testing.assert_allclose(probs, [1 / 3] * 3)
+
+    @pytest.mark.parametrize("rule", list(ProbabilityRule))
+    def test_empty_working_set_rejected(self, rule):
+        with pytest.raises(ValueError, match="working set is empty"):
+            sampling_distribution(np.array([-1.0, -4.0]), np.array([], dtype=np.intp), rule)
+
+    def test_all_zero_residuals_rejected(self):
+        with pytest.raises(ValueError, match="all working-set residuals are zero"):
+            sampling_distribution(np.array([0.0, -4.0, 0.0]), np.array([0, 2]),
+                                  ProbabilityRule.RESIDUAL)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(37)

@@ -230,6 +230,11 @@ class TestRunHandTrace:
         np.testing.assert_allclose(trace.iterates[2], [1.0, 2.0])
         np.testing.assert_allclose(err_history(trace), [5.0, 1.0, 0.0])
 
+    def test_final_rse_needs_x_star(self):
+        trace = run(Problem(DIAG_PROBLEM.A, DIAG_PROBLEM.b), SolverConfig(variant="grk", seed=0))
+        assert trace.termination == "residual_tol" and trace.iterations == 2
+        assert trace.final_rse() is None
+
     def test_start_at_solution_terminates_immediately(self):
         for variant in SolverVariant:
             trace = run(DIAG_PROBLEM, SolverConfig(variant=variant,
