@@ -357,6 +357,8 @@ TRACE_COLUMNS = ["k", *_STEP_COLUMNS]
 # but the step arrays (the columns), the config itself and the iterates.
 _TRACE_METADATA = [f.name for f in fields(Trace)
                    if f.name not in ("config", "final_x", "iterates", *TRACE_COLUMNS)]
+# Files written before runs recorded their start lack zero_start.
+_REQUIRED_METADATA = [name for name in _TRACE_METADATA if name != "zero_start"]
 
 
 def write_trace_csv(trace: Trace, path) -> Path:
@@ -385,9 +387,10 @@ def write_trace_csv(trace: Trace, path) -> Path:
 def _trace_metadata(path: Path, meta: dict) -> dict:
     """The metadata line's ``Trace`` fields, checked: each metric a JSON number,
     null only for ``initial_err_sq`` and ``x_star_norm_sq`` and then for both
-    (a run without x*), and ``termination`` one of ``Trace.TERMINATIONS``."""
+    (a run without x*), ``termination`` one of ``Trace.TERMINATIONS``, and
+    ``zero_start`` true, false, or null or absent where the start is unknown."""
     values = {}
-    for name in _TRACE_METADATA:
+    for name in _REQUIRED_METADATA:
         value = meta[name]
         if name == "termination":
             if value not in Trace.TERMINATIONS:
@@ -400,11 +403,15 @@ def _trace_metadata(path: Path, meta: dict) -> dict:
                                  f"{json.dumps(value)}, not a number")
             value = float(value)
         values[name] = value
-    nulls = [name for name in _TRACE_METADATA if values[name] is None]
+    nulls = [name for name in _REQUIRED_METADATA if values[name] is None]
     if nulls not in ([], ["initial_err_sq", "x_star_norm_sq"]):
         raise ValueError(f"{path}: the metadata line's {' and '.join(nulls)} "
                          f"{'is' if len(nulls) == 1 else 'are'} null; only initial_err_sq "
                          "and x_star_norm_sq may be, and then both")
+    start = values["zero_start"] = meta.get("zero_start")
+    if start is not None and not isinstance(start, bool):
+        raise ValueError(f"{path}: the metadata line's zero_start is {json.dumps(start)}, "
+                         "not true or false")
     return values
 
 
@@ -427,9 +434,9 @@ def read_trace_csv(path) -> Trace:
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing metadata line")
         meta = json.loads(first[1:].strip())
-        if not (isinstance(meta, dict) and meta.keys() >= set(_TRACE_METADATA)):
+        if not (isinstance(meta, dict) and meta.keys() >= set(_REQUIRED_METADATA)):
             raise ValueError(f"{path}: the metadata line is not a JSON object with the keys "
-                             f"{', '.join(_TRACE_METADATA)}")
+                             f"{', '.join(_REQUIRED_METADATA)}")
         values = _trace_metadata(path, meta)
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:

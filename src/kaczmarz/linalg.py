@@ -47,8 +47,9 @@ class RowAccessMatrix:
     methods to make sense.  ``row_image`` returns one format for both storage
     kinds, ``(rows, values)``: a full slice and a dense vector for dense
     storage, the image's support and its entries for sparse storage.  Sparse
-    storage builds a CSC copy (about 12 bytes per nonzero) on the first
-    ``row_image`` call, for its column gather.
+    storage builds a CSC copy (8 bytes plus the index itemsize per nonzero)
+    on the first ``row_image`` or ``image_bytes_bound`` call, for its column
+    gather.
     """
 
     def __init__(self, matrix):
@@ -145,13 +146,7 @@ class RowAccessMatrix:
         """
         if self._dense is not None:
             return slice(None), self._dense @ self._dense[i]
-        csc = self._csc
-        if csc is None:
-            # Concurrent first calls may each build a copy; the copies are equal.
-            csc = sp.csc_array(self._csr)
-            for arr in (csc.data, csc.indices, csc.indptr):
-                arr.setflags(write=False)
-            self._csc = csc
+        csc = self._csc_copy()
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         cols = self._csr.indices[lo:hi]
         starts = csc.indptr[cols]
@@ -169,6 +164,32 @@ class RowAccessMatrix:
         np.not_equal(hit[1:], hit[:-1], out=first[1:])
         rows = hit[first]
         return rows, image[rows]
+
+    def image_bytes_bound(self) -> int:
+        """An upper bound on the bytes of the arrays ``row_image`` returns for
+        all m rows together.
+
+        A dense image holds 8m bytes.  A CSR image's support has at most as
+        many rows as the columns of its row hold nonzeros, so the m images
+        hold at most sum_j nnz(column j)^2 entries, each a float64 value and
+        a row index of the CSC copy's dtype: an O(n) sum over column counts.
+        """
+        if self._dense is not None:
+            return 8 * self.m * self.m
+        csc = self._csc_copy()
+        counts = np.diff(csc.indptr).astype(np.int64)
+        return int(counts @ counts) * (8 + csc.indices.itemsize)
+
+    def _csc_copy(self) -> sp.csc_array:
+        """The read-only CSC copy of sparse storage, built on first use."""
+        csc = self._csc
+        if csc is None:
+            # Concurrent first calls may each build a copy; the copies are equal.
+            csc = sp.csc_array(self._csr)
+            for arr in (csc.data, csc.indices, csc.indptr):
+                arr.setflags(write=False)
+            self._csc = csc
+        return csc
 
     # -- whole-matrix products ----------------------------------------------
 

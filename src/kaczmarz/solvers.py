@@ -139,7 +139,8 @@ class Trace:
     dtypes.  A metric the run does not record is None for the whole run:
     ``set_size`` and ``gamma`` for rk and cyclic, ``err_sq`` without x*,
     ``res_sq`` where the run keeps no full residual.  ``run`` says which bits
-    the arrays hold.
+    the arrays hold.  ``zero_start`` says whether the run started from
+    x0 = 0, None where that is unknown (a trace file that predates it).
 
     ``termination`` is one of ``TERMINATIONS``: ``rse_tol`` (error below
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
@@ -166,6 +167,7 @@ class Trace:
     gamma: np.ndarray | None = None
     err_sq: np.ndarray | None = None
     res_sq: np.ndarray | None = None
+    zero_start: bool | None = None
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -256,17 +258,30 @@ class _GreedyRule(NamedTuple):
 
 class _ImageCache(dict):
     """Row images ``A.row_image(i)`` by row, kept while their bytes fit in
-    ``_IMAGE_CACHE_BYTES``."""
+    ``_IMAGE_CACHE_BYTES``.
+
+    Dense images, a GEMV each, are kept from their first request, and so are
+    CSR images when ``A.image_bytes_bound()`` proves that all m fit.  Other
+    CSR images are kept only from their second request, marked in ``seen``: a
+    greedy step zeroes its row's residual, so on a tall matrix most picks are
+    rows never picked before, whose images would fill the budget unread.  A
+    recomputed image is bit-equal to a kept one.
+    """
 
     def __init__(self, A: RowAccessMatrix):
         super().__init__()
         self.A = A
         self.free = _IMAGE_CACHE_BYTES
+        self.seen = (np.zeros(A.m, dtype=bool)
+                     if A.is_sparse and A.image_bytes_bound() > self.free else None)
 
     def image(self, i: int):
         image = self.get(i)
         if image is None:
             image = self.A.row_image(i)
+            if self.seen is not None and not self.seen[i]:
+                self.seen[i] = True
+                return image
             size = sum(getattr(part, "nbytes", 0) for part in image)  # a slice holds none
             if size <= self.free:
                 self[i] = image
@@ -289,8 +304,10 @@ def run(
     or with NaN or infinite entries raises ``ValueError``, and the caller's
     array is never written.  Error metrics are measured against
     ``problem.x_star``, which is the correct target for x0 = 0 (and for any
-    x0 whose offset from x* lies in Range(A^T)).  Each ``err_sq`` is bitwise
-    ``np.sum((x - x_star) ** 2)`` of the iterate it follows.
+    x0 whose offset from x* lies in Range(A^T)); the trace's ``zero_start``
+    records whether x0 = 0, since ``certify_trace`` vouches only for that
+    start.  Each ``err_sq`` is bitwise ``np.sum((x - x_star) ** 2)`` of the
+    iterate it follows.
 
     Without ``trials`` it returns one trace; ``trials=T`` returns the T traces
     of seeds ``config.seed + t``.  Both step one loop over a block of live
@@ -318,8 +335,11 @@ def run(
     ``_RK_BLOCK`` at a time and maps a block to rows in one search; a block
     is the same stream as that many single draws, so the selections are
     those of one ``rng.random()`` per step.  Row images are cached up to
-    ``_IMAGE_CACHE_BYTES`` of rows and values, shared by the trials, and each
-    refresh every ``REFRESH_EVERY`` steps is the trial's own ``matvec``.
+    ``_IMAGE_CACHE_BYTES`` of rows and values, shared by the trials: from
+    their first request for dense storage and for CSR storage whose images
+    provably all fit, from their second request for other CSR storage (see
+    ``_ImageCache``).  Each refresh every ``REFRESH_EVERY`` steps is the
+    trial's own ``matvec``.
 
     With momentum (beta > 0) the iterates and, where kept, the residuals
     take the heavy-ball term in one form: before the step, each pair
@@ -354,6 +374,7 @@ def run(
     row_norms_sq = A.row_norms_sq
 
     x = np.zeros(A.n) if x0 is None else _as_vector(x0, A.n, "x0")
+    zero_start = not x.any()
     r = A.matvec(x) - b
     # Sums of squares are numpy's pairwise sums, never a BLAS dot: a long dot
     # runs on several OpenBLAS threads, which spin between calls and make the
@@ -541,7 +562,7 @@ def run(
         traces.append(Trace(
             termination=termination, initial_err_sq=err_sq, initial_res_sq=res_sq,
             final_x=final_x, config=cfg, frobenius_sq=A.frobenius_sq,
-            x_star_norm_sq=x_star_norm_sq,
+            x_star_norm_sq=x_star_norm_sq, zero_start=zero_start,
             iterates=iterates[t][:k + 1] if capture_iterates else None,
             **{name: np.concatenate(cols)[:k] for name, cols in parts[t].items()}))
     return traces[0] if trials is None else traces

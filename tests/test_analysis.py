@@ -251,10 +251,39 @@ class TestCertifyTrace:
         assert result.checked == 2 and result.mode == "per_step"
 
     def test_zero_iteration_trace_passes_vacuously(self):
-        problem = Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0])
-        trace = run(problem, SolverConfig(variant="grk"), x0=[1.0, 2.0])
+        # x* = 0, so the run from zero stops before its first step.
+        problem = Problem(DIAG, [0.0, 0.0], x_star=[0.0, 0.0])
+        trace = run(problem, SolverConfig(variant="grk"))
         result = certify_trace(trace, sigma_min_sq=1.0)
         assert result.passed and result.checked == 0
+
+    def test_nonzero_start_refused(self):
+        # A rank-6 problem: a random x0 leaves x0 - x* outside Range(A^T), and
+        # the genuine run then "violates" the bound at step 2.
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=6, seed=1))
+        sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+        x0 = np.random.default_rng(0).standard_normal(10)
+        trace = run(problem, SolverConfig(variant="grk", seed=1), x0=x0)
+        assert (trace.termination, trace.iterations, trace.zero_start) == ("converged", 66, False)
+        assert certify_trace(replace(trace, zero_start=True), sigma_sq).first_violation == 2
+        for start in (False, None):
+            with pytest.raises(ValueError, match=r"x0 - x\* in Range\(A\^T\)"):
+                certify_trace(replace(trace, zero_start=start), sigma_sq)
+        # Even a start at x* itself, where no step runs, is refused.
+        at_star = run(Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0]), SolverConfig(variant="grk"),
+                      x0=[1.0, 2.0])
+        assert at_star.iterations == 0 and at_star.zero_start is False
+        with pytest.raises(ValueError, match="nonzero x0"):
+            certify_trace(at_star, sigma_min_sq=1.0)
+
+    def test_zero_start_recorded(self):
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=6, seed=1))
+        config = SolverConfig(variant="grk", seed=1)
+        # An explicit zero x0, -0.0 included, is a zero start.
+        for x0 in (None, np.zeros(10), -np.zeros(10)):
+            trace = run(problem, config, x0=x0)
+            assert trace.zero_start is True
+            assert certify_trace(trace, smallest_nonzero_singular_value(problem.A) ** 2).passed
 
     def test_corrupted_trace_reports_violation_index(self):
         rng = np.random.default_rng(53)

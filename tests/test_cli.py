@@ -14,6 +14,7 @@ from kaczmarz.harness import (
     gen_random_problem,
     read_matrix_market,
     read_trace_csv,
+    write_matrix_market,
     write_trace_csv,
 )
 from kaczmarz.solvers import SolverConfig, run
@@ -381,6 +382,33 @@ def test_certify_refuses_the_matrix_of_another_problem(tmp_path, capsys, sigma):
     assert captured.err.strip().endswith(
         f"differs from {other}'s, {read_matrix_market(other).frobenius_sq!r}, "
         "by more than a relative 1e-9")
+
+
+@pytest.mark.parametrize("edit, start", [
+    (lambda meta, rows: meta.pop("zero_start"), "an unrecorded x0"),
+    (lambda meta, rows: meta.update(zero_start=False), "a nonzero x0"),
+], ids=["no-start-key", "nonzero-start"])
+def test_certify_refuses_a_start_other_than_zero(tmp_path, capsys, edit, start):
+    path = _edited_grk_trace(tmp_path / "g.csv", edit)
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"kaczmarz: error: trace starts from {start}; the bounds need x0 - x* in Range(A^T), "
+        "which only x0 = 0 is known to meet")
+
+
+def test_certify_refuses_a_genuine_run_from_a_nonzero_start(tmp_path, capsys):
+    # Rank 6 of 10: the run from a random x0 ends converged at final_rse 1.01, and
+    # certifying it once reported a violation at step 2.
+    problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=6, seed=1))
+    trace = run(problem, SolverConfig(variant="grk", seed=1),
+                x0=np.random.default_rng(0).standard_normal(10))
+    path = write_trace_csv(trace, tmp_path / "g.csv")
+    write_matrix_market(problem.A, tmp_path / "A.mtx")
+    assert main(["certify", "--trace", str(path), "--matrix", str(tmp_path / "A.mtx")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kaczmarz: error: trace starts from a nonzero x0")
 
 
 def _edited_grk_trace(path, edit):

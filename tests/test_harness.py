@@ -444,9 +444,11 @@ class TestEmission:
         ({"initial_res_sq": True}, "initial_res_sq is true, not a number"),
         ({"x_star_norm_sq": None}, "x_star_norm_sq is null; only"),
         ({"seed": True}, "solver settings: seed must be an integer, got True"),
+        ({"zero_start": 1}, "zero_start is 1, not true or false"),
+        ({"zero_start": "true"}, 'zero_start is "true", not true or false'),
     ], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
             "quoted-number", "list-metric", "unknown-termination", "bool-metric",
-            "one-null-of-x-star", "bool-seed"])
+            "one-null-of-x-star", "bool-seed", "number-start", "text-start"])
     def test_malformed_metadata_refused(self, tmp_path, meta, message):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
         path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
@@ -473,6 +475,36 @@ class TestEmission:
         with pytest.raises(ValueError, match=message) as info:
             read_trace_csv(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_trace_csv_keeps_the_start(self, tmp_path):
+        problem = gen_random_problem(RandomProblemSpec(m=60, n=10, r=6, seed=1))
+        x0 = np.random.default_rng(0).standard_normal(10)
+        for start, zero in ((None, True), (x0, False)):
+            trace = run(problem, SolverConfig(variant="grk", seed=1), x0=start)
+            path = write_trace_csv(trace, tmp_path / "t.csv")
+            assert json.loads(path.read_text().split("\n", 1)[0][1:])["zero_start"] is zero
+            assert read_trace_csv(path).zero_start is zero
+
+    @pytest.mark.parametrize("value", ["absent", None])
+    def test_trace_file_without_its_start_loads_and_refuses_certification(self, tmp_path,
+                                                                          value):
+        # A file written before runs recorded their start lacks the key.
+        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
+        trace = run(problem, SolverConfig(variant="grk", seed=2))
+        path = write_trace_csv(trace, tmp_path / "t.csv")
+        first, rest = path.read_text().split("\n", 1)
+        meta = json.loads(first[1:])
+        if value == "absent":
+            del meta["zero_start"]
+        else:
+            meta["zero_start"] = value
+        path.write_text("# " + json.dumps(meta) + "\n" + rest)
+        loaded = read_trace_csv(path)
+        assert loaded.zero_start is None
+        assert_same_steps(loaded, trace)
+        assert certify_trace(trace, 1.0).passed
+        with pytest.raises(ValueError, match=r"unrecorded x0; the bounds need x0 - x\* in "):
+            certify_trace(loaded, 1.0)
 
     def test_zero_step_rk_trace_refuses_certification_from_csv(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])

@@ -1036,3 +1036,88 @@ def test_lastrow_gamma_of_a_dominant_row_keeps_its_certificate():
                                           rse_tol=rse_tol))
             except GreedyCertificateError as exc:
                 pytest.fail(f"seed {seed}, rse_tol {rse_tol}: {exc}")
+
+
+def image_bytes(image):
+    return sum(getattr(part, "nbytes", 0) for part in image)
+
+
+class TestImageCache:
+    """The cache's admission rule, first or second request by storage and
+    bound, and its full-budget branch."""
+
+    @staticmethod
+    def record_caches(monkeypatch):
+        made = []
+
+        class Recording(solvers._ImageCache):
+            def __init__(self, A):
+                super().__init__(A)
+                made.append(self)
+
+        monkeypatch.setattr(solvers, "_ImageCache", Recording)
+        return made
+
+    @pytest.mark.parametrize("storage", ["dense", "csr", "csr-full-column"])
+    def test_image_bytes_bound(self, storage):
+        if storage == "dense":
+            A = random_problem(50, 8, seed=1).A
+        elif storage == "csr":
+            A = sparse_problem(80, 12, seed=31).A
+        else:
+            # One column in every row: each image covers all m rows, so the bound is tight.
+            A = RowAccessMatrix(sp.csr_array(np.arange(1.0, 31.0)[:, None]))
+        total = sum(image_bytes(A.row_image(i)) for i in range(A.m))
+        bound = A.image_bytes_bound()
+        assert total <= bound
+        if storage != "csr":
+            assert total == bound
+
+    def test_each_admission_branch(self, monkeypatch):
+        made = self.record_caches(monkeypatch)
+        dense = random_problem(60, 10, seed=31, kappa=100.0)
+        csr = sparse_problem(80, 12, seed=31)
+        config = SolverConfig(variant="grk", seed=3, max_iters=1500)
+        for problem, budget, second in ((dense, solvers._IMAGE_CACHE_BYTES, False),
+                                        (dense, 0, False),  # dense keeps first requests always
+                                        (csr, solvers._IMAGE_CACHE_BYTES, False),
+                                        (csr, csr.A.image_bytes_bound(), False),
+                                        (csr, csr.A.image_bytes_bound() - 1, True)):
+            monkeypatch.setattr(solvers, "_IMAGE_CACHE_BYTES", budget)
+            trace = run(problem, config)
+            cache = made[-1]
+            picks = Counter(trace.index.tolist())
+            assert max(picks.values()) >= 2
+            assert (cache.seen is not None) == second
+            if second:
+                # Every picked row was seen once; the rows picked again are kept.
+                assert set(np.flatnonzero(cache.seen).tolist()) == set(picks)
+                assert set(cache) == {i for i, count in picks.items() if count >= 2}
+            elif budget:
+                assert set(cache) == set(picks)
+            else:
+                assert not cache
+            assert cache.free == budget - sum(map(image_bytes, cache.values())) >= 0
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+    @pytest.mark.parametrize("images", [0, 3])
+    def test_full_budget_keeps_every_trace(self, monkeypatch, storage, variant, beta, images):
+        # A budget of no image or of about three images fills up, so later
+        # images are recomputed; each trial's trace keeps its bits.
+        problem = (random_problem(60, 10, seed=31, kappa=100.0) if storage == "dense"
+                   else sparse_problem(80, 12, seed=31))
+        config = SolverConfig(variant=variant, beta=beta, seed=3, max_iters=1500)
+        expected = run(problem, config, trials=3)
+        made = self.record_caches(monkeypatch)
+        budget = images * image_bytes(problem.A.row_image(0))
+        monkeypatch.setattr(solvers, "_IMAGE_CACHE_BYTES", budget)
+        for trace, reference in zip(run(problem, config, trials=3), expected):
+            assert_same_run(trace, reference)
+        cache = made[-1]
+        held = sum(map(image_bytes, cache.values()))
+        assert cache.free == budget - held >= 0
+        # The budget was full: more rows were requested than it held.
+        assert len({i for t in expected for i in t.index.tolist()}) > len(cache)
+        if images:
+            assert cache
