@@ -20,7 +20,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .analysis import certify_trace
@@ -110,6 +109,8 @@ def read_matrix_market(path) -> RowAccessMatrix:
     skew-symmetric files are rejected, as are matrices containing a zero row.
     Coordinate files load as CSR, array files as dense.
     """
+    import scipy.io  # 1.4 MiB that only the Matrix Market functions need
+
     path = Path(path)
     try:
         rows, cols, entries, fmt, fieldkind, symmetry = scipy.io.mminfo(path)
@@ -136,6 +137,8 @@ def read_matrix_market(path) -> RowAccessMatrix:
 def write_matrix_market(A: RowAccessMatrix, path, comment: str = "") -> Path:
     """Write a matrix in Matrix Market format: coordinate for CSR storage,
     array for dense."""
+    import scipy.io
+
     path = Path(path)
     scipy.io.mmwrite(path, sp.coo_array(A._csr) if A.is_sparse else A.to_dense(),
                      comment=comment)
@@ -143,6 +146,8 @@ def write_matrix_market(A: RowAccessMatrix, path, comment: str = "") -> Path:
 
 
 def write_vector(v: np.ndarray, path, comment: str = "") -> Path:
+    import scipy.io
+
     path = Path(path)
     scipy.io.mmwrite(path, np.asarray(v, dtype=np.float64).reshape(-1, 1), comment=comment)
     return path
@@ -236,12 +241,19 @@ class ExperimentResult:
     methods: list[MethodResult]
 
     def to_dict(self) -> dict:
-        """The bench JSON: every field, and each trial without its trace."""
+        """The bench JSON: every field, and each trial without its trace.
+
+        JSON has no infinity or NaN, so a non-finite ``final_rse`` is None; the
+        trial's ``termination`` is then ``nonfinite``.
+        """
         methods = [{f.name: getattr(meth, f.name) for f in fields(MethodResult)}
                    for meth in self.methods]
         for meth in methods:
             meth["trials"] = [{name: getattr(t, name) for name in _TRIAL_COLUMNS}
                               for t in meth["trials"]]
+            for trial in meth["trials"]:
+                if trial["final_rse"] is not None and not math.isfinite(trial["final_rse"]):
+                    trial["final_rse"] = None
         return {"problem": dict(self.problem), "trials": self.trials, "methods": methods}
 
 
@@ -330,7 +342,7 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
     rendered text; writes it to ``path`` when given.
     """
     if format == "json":
-        text = json.dumps(result.to_dict(), indent=2)
+        text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
     elif format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

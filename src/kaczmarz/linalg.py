@@ -46,10 +46,16 @@ class RowAccessMatrix:
     rejected outright: every row must define a hyperplane for projection
     methods to make sense.  ``row_image`` returns one format for both storage
     kinds, ``(rows, values)``: a full slice and a dense vector for dense
-    storage, the image's support and its entries for sparse storage.  Sparse
-    storage builds a CSC copy (8 bytes plus the index itemsize per nonzero)
-    on the first ``row_image`` or ``image_bytes_bound`` call, for its column
-    gather.
+    storage, the image's support and its entries for sparse storage.
+
+    Sparse storage keeps its ``indices`` and ``indptr`` as ``np.intp``, the
+    width numpy indexes with, so no fancy-index op on them, nor on the CSC
+    copy and image ``rows`` that follow them, casts its index array first.
+    Its squared row norms are scipy's own row sum of the squared entries, an
+    ``np.add.reduceat`` over each nonempty row's entries, taken without
+    squaring a copy of the matrix.  It builds a CSC copy (8 bytes plus an
+    intp index per nonzero) on the first ``row_image`` or
+    ``image_bytes_bound`` call, for its column gather.
     """
 
     def __init__(self, matrix):
@@ -60,13 +66,17 @@ class RowAccessMatrix:
             csr.eliminate_zeros()
             if csr.shape[0] < 1 or csr.shape[1] < 1:
                 raise ValueError("matrix must have at least one row and column")
+            csr.indices = csr.indices.astype(np.intp, copy=False)
+            csr.indptr = csr.indptr.astype(np.intp, copy=False)
             self._dense = None
             self._csr = csr
             self._csc = None
             values = csr.data
-            sq = csr.copy()
-            sq.data **= 2
-            self.row_norms_sq = np.asarray(sq.sum(axis=1)).ravel()
+            # Summed as scipy's csr.sum(axis=1) sums: reduceat over the nonempty
+            # rows only, since it would give an empty row the next row's entry.
+            nonempty = np.flatnonzero(np.diff(csr.indptr))
+            self.row_norms_sq = np.zeros(csr.shape[0])
+            self.row_norms_sq[nonempty] = np.add.reduceat(values * values, csr.indptr[nonempty])
             for arr in (csr.data, csr.indices, csr.indptr):
                 arr.setflags(write=False)
         else:
@@ -169,16 +179,17 @@ class RowAccessMatrix:
         """An upper bound on the bytes of the arrays ``row_image`` returns for
         all m rows together.
 
-        A dense image holds 8m bytes.  A CSR image's support has at most as
-        many rows as the columns of its row hold nonzeros, so the m images
-        hold at most sum_j nnz(column j)^2 entries, each a float64 value and
-        a row index of the CSC copy's dtype: an O(n) sum over column counts.
+        A dense image holds 8m bytes.  A CSR image's support has at most m
+        rows, and at most as many as the columns of its row hold nonzeros, so
+        the m images hold at most min(m^2, sum_j nnz(column j)^2) entries, each
+        a float64 value and a row index of the CSC copy's dtype: an O(n) sum
+        over column counts.
         """
         if self._dense is not None:
             return 8 * self.m * self.m
         csc = self._csc_copy()
         counts = np.diff(csc.indptr).astype(np.int64)
-        return int(counts @ counts) * (8 + csc.indices.itemsize)
+        return min(self.m * self.m, int(counts @ counts)) * (8 + csc.indices.itemsize)
 
     def _csc_copy(self) -> sp.csc_array:
         """The read-only CSC copy of sparse storage, built on first use."""

@@ -133,6 +133,23 @@ def test_bench_with_config_file(tmp_path, capsys):
     assert [m["label"] for m in data["methods"]] == ["grk", "mgrk:beta=0.2"]
 
 
+def test_bench_json_is_strict_for_a_diverged_trial(tmp_path, capsys):
+    # beta = 3 diverges; JSON has no Infinity or NaN, so final_rse is null.
+    out = tmp_path / "res.json"
+    code = main(["bench", "--m", "200", "--n", "40", "--kappa", "3", "--seed", "0",
+                 "--methods", "mgrk:beta=3", "--trials", "2", "--max-iters", "3000",
+                 "--format", "json", "--out", str(out)])
+    assert code == cli.NUMERICAL_ERROR
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    trials = data["methods"][0]["trials"]
+    assert [t["termination"] for t in trials] == ["nonfinite"] * 2
+    assert None in [t["final_rse"] for t in trials]
+
+
 def test_bench_config_file_format_checked_before_solving(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("run_experiment called")

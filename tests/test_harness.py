@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,15 @@ class TestMatrixMarket:
         path = write_matrix_market(A, tmp_path / "rt.mtx")
         B = read_matrix_market(path)
         np.testing.assert_array_equal(B.to_dense(), A.to_dense())
+
+    def test_package_imports_without_scipy_io(self):
+        # Only the Matrix Market functions load scipy.io, on their first call.
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, kaczmarz, kaczmarz.cli; print('scipy.io' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_vector_round_trip(self, tmp_path):
         v = np.random.default_rng(62).standard_normal(9)

@@ -57,6 +57,39 @@ class TestRowAccessMatrix:
         with pytest.raises(ValueError, match="row 0"):
             RowAccessMatrix(mat)
 
+    def test_empty_row_after_eliminate_zeros_rejected(self):
+        # Row 1 holds a stored zero and row 2 two entries that cancel; reduceat
+        # would give each empty row the next row's entry.
+        mat = sp.coo_array(([3.0, 0.0, 1.0, -1.0, 2.0], ([0, 1, 2, 2, 3], [0, 1, 1, 1, 0])),
+                           shape=(4, 2))
+        with pytest.raises(ValueError, match=r"row 1 has zero norm \(2 zero row"):
+            RowAccessMatrix(mat)
+
+    @pytest.mark.parametrize("case", ["long-rows", "unsorted-duplicates"])
+    def test_sparse_norms_equal_scipy_row_sums(self, case):
+        rng = np.random.default_rng(7)
+        if case == "long-rows":
+            # About 80 entries a row, where reduceat sums pairwise.
+            dense = rng.standard_normal((300, 400))
+            mat = sp.csr_array(np.where(rng.random((300, 400)) < 0.2, dense, 0.0))
+        else:
+            rows = rng.integers(0, 40, 600)
+            cols = rng.integers(0, 30, 600)
+            mat = sp.coo_array((rng.standard_normal(600), (rows, cols)), shape=(40, 30))
+        reference = sp.csr_array(mat, copy=True)
+        reference.sum_duplicates()
+        reference.sort_indices()
+        reference.data **= 2
+        expected = reference.sum(axis=1)
+        A = RowAccessMatrix(mat)
+        assert np.array_equal(A.row_norms_sq, expected)
+        assert A.frobenius_sq == float(expected.sum())
+        if case == "long-rows":
+            # Sequential sums differ, so the rows are long enough to test the order.
+            sequential = np.bincount(np.repeat(np.arange(300), np.diff(reference.indptr)),
+                                     weights=reference.data, minlength=300)
+            assert not np.array_equal(A.row_norms_sq, sequential)
+
     def test_row_access_and_axpy(self):
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((6, 4))

@@ -1043,8 +1043,8 @@ def image_bytes(image):
 
 
 class TestImageCache:
-    """The cache's admission rule, first or second request by storage and
-    bound, and its full-budget branch."""
+    """The cache's admission rule, a budget by storage and bound, and its
+    full-budget branch."""
 
     @staticmethod
     def record_caches(monkeypatch):
@@ -1058,15 +1058,22 @@ class TestImageCache:
         monkeypatch.setattr(solvers, "_ImageCache", Recording)
         return made
 
-    @pytest.mark.parametrize("storage", ["dense", "csr", "csr-full-column"])
+    @pytest.mark.parametrize("storage", ["dense", "csr", "csr-full-column", "csr-heavy-columns"])
     def test_image_bytes_bound(self, storage):
         if storage == "dense":
             A = random_problem(50, 8, seed=1).A
         elif storage == "csr":
             A = sparse_problem(80, 12, seed=31).A
-        else:
+        elif storage == "csr-full-column":
             # One column in every row: each image covers all m rows, so the bound is tight.
             A = RowAccessMatrix(sp.csr_array(np.arange(1.0, 31.0)[:, None]))
+        else:
+            # Few rows and many full columns: sum_j nnz(column j)^2 = 30 * 4^2 is
+            # far above m^2 = 16, the bound, which each image meets by covering all
+            # m rows.
+            A = RowAccessMatrix(sp.csr_array(np.arange(1.0, 121.0).reshape(4, 30)))
+            counts = np.diff(A._csc_copy().indptr)
+            assert counts @ counts > A.m * A.m
         total = sum(image_bytes(A.row_image(i)) for i in range(A.m))
         bound = A.image_bytes_bound()
         assert total <= bound
@@ -1078,46 +1085,71 @@ class TestImageCache:
         dense = random_problem(60, 10, seed=31, kappa=100.0)
         csr = sparse_problem(80, 12, seed=31)
         config = SolverConfig(variant="grk", seed=3, max_iters=1500)
-        for problem, budget, second in ((dense, solvers._IMAGE_CACHE_BYTES, False),
-                                        (dense, 0, False),  # dense keeps first requests always
-                                        (csr, solvers._IMAGE_CACHE_BYTES, False),
-                                        (csr, csr.A.image_bytes_bound(), False),
-                                        (csr, csr.A.image_bytes_bound() - 1, True)):
+        # The default budget holds every image of both problems.
+        references = {"dense": run(dense, config), "csr": run(csr, config)}
+        for storage, budget, kept in (
+                ("dense", solvers._IMAGE_CACHE_BYTES, True),
+                ("dense", 0, False),  # dense keeps first requests up to any budget
+                ("csr", solvers._IMAGE_CACHE_BYTES, True),
+                ("csr", csr.A.image_bytes_bound(), True),
+                ("csr", csr.A.image_bytes_bound() - 1, False)):  # CSR gets no budget
+            problem = dense if storage == "dense" else csr
             monkeypatch.setattr(solvers, "_IMAGE_CACHE_BYTES", budget)
             trace = run(problem, config)
+            assert_same_run(trace, references[storage])
             cache = made[-1]
-            picks = Counter(trace.index.tolist())
-            assert max(picks.values()) >= 2
-            assert (cache.seen is not None) == second
-            if second:
-                # Every picked row was seen once; the rows picked again are kept.
-                assert set(np.flatnonzero(cache.seen).tolist()) == set(picks)
-                assert set(cache) == {i for i, count in picks.items() if count >= 2}
-            elif budget:
-                assert set(cache) == set(picks)
-            else:
-                assert not cache
-            assert cache.free == budget - sum(map(image_bytes, cache.values())) >= 0
+            picks = set(trace.index.tolist())
+            assert set(cache) == (picks if kept else set())
+            assert cache.free == (budget if kept else 0) - sum(map(image_bytes, cache.values()))
+            assert cache.free >= 0
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
     @pytest.mark.parametrize("images", [0, 3])
     def test_full_budget_keeps_every_trace(self, monkeypatch, storage, variant, beta, images):
         # A budget of no image or of about three images fills up, so later
-        # images are recomputed; each trial's trace keeps its bits.
+        # dense images are recomputed, and it is below the CSR bound, so every
+        # CSR image is; each trial's trace keeps the bits of a run whose budget
+        # holds every image.
         problem = (random_problem(60, 10, seed=31, kappa=100.0) if storage == "dense"
                    else sparse_problem(80, 12, seed=31))
         config = SolverConfig(variant=variant, beta=beta, seed=3, max_iters=1500)
         expected = run(problem, config, trials=3)
         made = self.record_caches(monkeypatch)
         budget = images * image_bytes(problem.A.row_image(0))
+        assert budget < problem.A.image_bytes_bound()
         monkeypatch.setattr(solvers, "_IMAGE_CACHE_BYTES", budget)
         for trace, reference in zip(run(problem, config, trials=3), expected):
             assert_same_run(trace, reference)
         cache = made[-1]
+        if storage == "csr":
+            assert not cache and cache.free == 0
+            return
         held = sum(map(image_bytes, cache.values()))
         assert cache.free == budget - held >= 0
         # The budget was full: more rows were requested than it held.
         assert len({i for t in expected for i in t.index.tolist()}) > len(cache)
         if images:
             assert cache
+
+
+@pytest.mark.parametrize("variant, beta", [("grk", 0.0), ("mgrk", 0.3)])
+def test_int32_csr_input_runs_on_intp_indices(variant, beta):
+    # scipy.io.mmread and most scipy constructors give int32 indices; storage
+    # widens them to intp, so images index without a cast and traces keep
+    # their bits.
+    csr = sparse_problem(80, 12, seed=31).A._csr
+    built = {}
+    for dtype in (np.int32, np.int64):
+        matrix = sp.csr_array((csr.data, csr.indices.astype(dtype), csr.indptr.astype(dtype)),
+                              shape=csr.shape)
+        assert matrix.indices.dtype == dtype
+        A = RowAccessMatrix(matrix)
+        for arr in (A._csr.indices, A._csr.indptr, A._csc_copy().indices,
+                    A._csc_copy().indptr, A.row_image(5)[0]):
+            assert arr.dtype == np.intp
+        b = A.matvec(np.random.default_rng(2).standard_normal(A.n))
+        built[dtype] = run(Problem(A, b), SolverConfig(variant=variant, beta=beta, seed=5,
+                                                        max_iters=400), trials=2)
+    for trace, reference in zip(built[np.int32], built[np.int64]):
+        assert_same_run(trace, reference)
