@@ -338,8 +338,9 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
     """Serialize an experiment result to CSV or JSON.
 
     CSV holds one row per (method, trial) followed by one summary row per
-    method (trial column = "mean").  JSON nests the same data.  Returns the
-    rendered text; writes it to ``path`` when given.
+    method (trial column = "mean"), whose ``certified`` counts the certified
+    trials and is empty when no trial was checked.  JSON nests the same data.
+    Returns the rendered text; writes it to ``path`` when given.
     """
     if format == "json":
         text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
@@ -351,9 +352,10 @@ def emit_results(result: ExperimentResult, format: str = "csv", path=None) -> st
             for t in meth.trials:
                 writer.writerow(_csv_row(meth.label, vars(t)))
         for meth in result.methods:
+            checked = [t.certified for t in meth.trials if t.certified is not None]
             writer.writerow(_csv_row(meth.label, {
                 "trial": "mean", "iters": f"{meth.mean_iters:.2f}", "seconds": meth.mean_seconds,
-                "certified": sum(1 for t in meth.trials if t.certified)}))
+                "certified": sum(checked) if checked else None}))
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {format!r} (expected csv or json)")

@@ -146,10 +146,13 @@ class Trace:
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
     ``config.rse_tol``), ``converged``, ``max_iters`` or ``nonfinite`` (a
     metric overflowed).  ``converged`` ends a greedy run at the rounding
-    floor.  One test holds in every gamma mode: every |r_i| is at most
-    ``1e-14 * max(1, ||b||_inf)``.  Exact gamma mode also stops when the rows
-    below that level carry so much of ||r||^2 that no row above it reaches
-    the mean level ||r||^2/gamma, which sums only over the rows above it.
+    floor, by one rule in every gamma mode: every |r_i| is at most
+    ``1e-14 * max(1, ||b||_inf)``, or no row reaches the mean level
+    ||r||^2/gamma, so that the greedy set's certificate fails.  In exact
+    arithmetic every mode's gamma bounds the active-set mass, so only rounding
+    gets there: exact-mode gamma sums only over the rows above that level
+    while ||r||^2 also holds the rows below it, and lastrow-mode gamma assumes
+    that the previous row's residual is exactly zero.
     """
 
     TERMINATIONS: ClassVar[tuple[str, ...]] = (
@@ -225,7 +228,7 @@ class _GreedyRule(NamedTuple):
 
     @classmethod
     def of(cls, config: SolverConfig, b: np.ndarray) -> _GreedyRule:
-        tau_res = 1e-14 * max(1.0, float(np.max(np.abs(b))) if len(b) else 0.0)
+        tau_res = 1e-14 * max(1.0, float(np.max(np.abs(b))))
         return cls(config.resolved_gamma_mode(), config.theta, config.prob_rule,
                    tau_res, 2.0 * len(b) * tau_res * tau_res)
 
@@ -236,7 +239,9 @@ class _GreedyRule(NamedTuple):
         ``scores`` are r_i^2/||a_i||^2, ``loud`` the mask |r_i| > tau_res
         (read in exact mode only) and ``last_index`` the previous step's row,
         None before the first step (read in lastrow mode only).  The converged
-        test is the same in every gamma mode: no |r_i| exceeds tau_res.
+        rule is the same in every gamma mode: no |r_i| exceeds tau_res, or
+        ``greedy_set`` raises ``GreedyCertificateError``, which only the
+        rounding floor does.
         ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
         ``sample_index`` are called by their module names, once each.
         """
@@ -248,9 +253,7 @@ class _GreedyRule(NamedTuple):
         try:
             indices = greedy_set(A, scores, res_sq, gamma, self.theta)
         except GreedyCertificateError:
-            # Only the rounding floor gets here: see ``Trace``.
-            if self.gamma_mode is not GammaMode.EXACT:
-                raise
+            # Only the rounding floor gets here, in every gamma mode: see ``Trace``.
             return None
         probs = sampling_distribution(r, indices, self.prob_rule)
         return indices.item(sample_index(probs, rng)), len(indices), gamma
@@ -307,10 +310,12 @@ def run(
     iterate it follows.
 
     Without ``trials`` it returns one trace; ``trials=T`` returns the T traces
-    of seeds ``config.seed + t``.  Both step one loop over a block of live
-    trials: the iterates form a (T, n) block, the residuals, where kept, a
-    (T, m) block, and a trial leaves the block when it stops.  Each trial
-    selects its row from its own generator, through one call each to
+    of seeds ``config.seed + t``.  Both step one loop over a block of
+    trials: the iterates form a (T, n) block and the residuals, where kept, a
+    (T, m) block.  Block row t belongs to trial t for the whole call; a
+    stopped trial is skipped by the per-trial step and stop test, and block
+    arithmetic still runs on its rows, but nothing reads the results.  Each
+    trial selects its row from its own generator, through one call each to
     ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
     ``sample_index`` for ``grk`` and ``mgrk``, computes its coefficient on
     Python floats and updates its row with ``axpy_row``.  Dense ``rk`` and
@@ -387,10 +392,11 @@ def run(
         err_denom = x_star_norm_sq or 1.0
     start_reason = _stop_reason([err_sq] if known else (), [res_sq], err_denom, res_denom, rse_tol)
 
-    # Block row p of every array and list below belongs to trial live[p].
-    live = list(range(len(configs)))
+    # Block row t of every array and list below belongs to trial t for the
+    # whole call; a stopped trial's rows stay, and nothing reads them.
+    T = len(configs)
     rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
-    X = np.tile(x, (len(live), 1))
+    X = np.tile(x, (T, 1))
     # A momentum step writes the new iterates over X_prev, and the new
     # residuals over R_prev.  Each starts as a copy, so the first momentum term
     # is exactly zero.
@@ -402,13 +408,13 @@ def run(
     errs = res = ()
     if known:
         # One x* row per block row: a subtract of equal shapes beats a broadcast.
-        X_star = np.tile(x_star, (len(live), 1))
+        X_star = np.tile(x_star, (T, 1))
         buf = np.empty_like(X)
     if keeps_r:
-        R = np.tile(r, (len(live), 1))
+        R = np.tile(r, (T, 1))
         R_sq = R * R
         R_prev = R.copy() if momentum else None
-        res = [res_sq] * len(live)
+        res = [res_sq] * T
         images = _ImageCache(A)  # shared by the trials
     # A CSR step without momentum updates the squares, the scores and the mask
     # on its image's support; every other step recomputes them.
@@ -419,41 +425,32 @@ def run(
         scores = R_sq / row_norms_sq
         if exact:
             loud = np.abs(R) > rule.tau_res
-        last = [None] * len(live)
+        last = [None] * T
     elif variant is SolverVariant.RK:
         rk_cdf = row_norms_sq.cumsum()
         rk_total = rk_cdf[-1]
-    batched = not keeps_r and dense and not momentum and len(live) >= _LOCKSTEP_TRIALS
+    batched = not keeps_r and dense and not momentum and T >= _LOCKSTEP_TRIALS
     iterates = [[x.copy()] for _ in configs] if capture_iterates else None
-    # The step metrics of each block membership, at most _RK_BLOCK steps at a
-    # time: the trials and a (steps, trials) array per metric.
-    segments = []
-    members, record, filled = [], {}, 0
+    # The step metrics, _RK_BLOCK steps at a time: a (steps, T) array per metric.
+    chunks = []
     ends = {}  # trial -> (steps, termination, final iterate)
-    gone = []  # block rows that leave after this step
-    new_block = True
 
     steps = config.max_iters if start_reason is None else 0
     for k in range(steps):
         j = k % _RK_BLOCK
-        if j == 0 and not greedy:
+        if j == 0:
             size = min(_RK_BLOCK, config.max_iters - k)
+            record = {name: np.empty((size, T), dtype) for name, dtype in columns.items()}
             if variant is SolverVariant.RK:
                 u = np.stack([rng.random(size) for rng in rngs])
                 picks = rk_cdf.searchsorted(u * rk_total, side="right")
                 np.minimum(picks, A.m - 1, out=picks)
-            else:
-                picks = np.tile(np.arange(k, k + size) % A.m, (len(live), 1))
-        if new_block or j == 0:
-            segments.append((members, {name: block[:filled] for name, block in record.items()}))
-            # Room for the steps up to the next draw of rk picks or the last step.
-            span = (min(_RK_BLOCK, config.max_iters - k + j) - j, len(live))
-            members, record, filled = live, {name: np.empty(span, dtype)
-                                             for name, dtype in columns.items()}, 0
+            elif not greedy:
+                picks = np.tile(np.arange(k, k + size) % A.m, (T, 1))
             if picks is not None:
-                record["index"] = picks[:, j:].T
+                record["index"] = picks.T
+            chunks.append(record)
             rec_index, rec_size, rec_gamma, rec_err, rec_res = map(record.get, _STEP_COLUMNS)
-            new_block = False
         X_new, R_new = (X_prev, R_prev) if momentum else (X, R)
         if momentum:
             # One heavy-ball form for both blocks: see the docstring.
@@ -464,17 +461,18 @@ def run(
                     prev += cur
 
         # Each trial's step on Python floats, from its own rows of the blocks.
-        for p in () if batched else range(len(live)):
+        for p in () if batched else range(T):
+            if p in ends:
+                continue
             if greedy:
                 pick = rule.select(A, R[p], scores[p], None if loud is None else loud[p],
                                    res[p], last[p], rngs[p])
                 if pick is None:
                     # Its entry in this step's record stays unset; its trace ends before it.
-                    ends[live[p]] = (k, "converged", X[p].copy())
-                    gone.append(p)
+                    ends[p] = (k, "converged", X[p].copy())
                     continue
-                i, rec_size[filled, p], rec_gamma[filled, p] = pick
-                last[p] = rec_index[filled, p] = i
+                i, rec_size[j, p], rec_gamma[j, p] = pick
+                last[p] = rec_index[j, p] = i
             else:
                 i = picks.item(p, j)
             r_i = R.item(p, i) if keeps_r else A.row_dot(i, X[p]) - b.item(i)
@@ -506,7 +504,9 @@ def run(
             refresh = (k + 1) % REFRESH_EVERY == 0
             if refresh:
                 # Each trial's own matvec of a fresh vector.
-                for p in range(len(live)):
+                for p in range(T):
+                    if p in ends:
+                        continue
                     R[p] = A.matvec(X[p].copy()) - b
                     if momentum:
                         R_prev[p] = A.matvec(X_prev[p].copy()) - b
@@ -516,43 +516,29 @@ def run(
                     np.divide(R_sq, row_norms_sq, out=scores)
                     if exact:
                         np.greater(np.abs(R), rule.tau_res, out=loud)
-            res = np.add.reduce(R_sq, 1, None, rec_res[filled]).tolist()
+            res = np.add.reduce(R_sq, 1, None, rec_res[j]).tolist()
         if known:
             np.subtract(X, X_star, out=buf)
             np.multiply(buf, buf, out=buf)
-            errs = np.add.reduce(buf, 1, None, rec_err[filled]).tolist()
-        filled += 1
+            errs = np.add.reduce(buf, 1, None, rec_err[j]).tolist()
         if capture_iterates:
-            for t, x_t in zip(live, X):
-                iterates[t].append(x_t.copy())
+            for p, x_p in enumerate(X):
+                if p not in ends:
+                    iterates[p].append(x_p.copy())
 
         # One test of every trial's metrics finds whether any trial stops.
         if _stop_reason(errs, res, err_denom, res_denom, rse_tol):
-            for p, t in enumerate(live):
+            for p in range(T):
+                if p in ends:
+                    continue
                 reason = _stop_reason(errs[p:p + 1], res[p:p + 1], err_denom, res_denom, rse_tol)
-                if reason is not None and t not in ends:
-                    ends[t] = (k + 1, reason, X[p].copy())
-                    gone.append(p)
-        if gone:
-            if len(gone) == len(live):
-                break
-            keep = [p for p in range(len(live)) if p not in gone]
-            live, rngs, res, last = (values and [values[p] for p in keep]
-                                     for values in (live, rngs, res, last))
-            X, X_prev, X_star, buf, R, R_prev, R_sq, scores, loud, picks = (
-                None if block is None else block[keep]
-                for block in (X, X_prev, X_star, buf, R, R_prev, R_sq, scores, loud, picks))
-            gone = []
-            new_block = True
+                if reason is not None:
+                    ends[p] = (k + 1, reason, X[p].copy())
+        if len(ends) == T:
+            break
 
-    for p, t in enumerate(live):
-        ends.setdefault(t, (steps, start_reason or "max_iters", X[p].copy()))
-    parts = [{name: [np.empty(0, dtype)] for name, dtype in columns.items()} for _ in configs]
-    segments.append((members, {name: block[:filled] for name, block in record.items()}))
-    for members, blocks in segments:
-        for name, block in blocks.items():
-            for p, t in enumerate(members):
-                parts[t][name].append(block[:, p])
+    for p in range(T):
+        ends.setdefault(p, (steps, start_reason or "max_iters", X[p].copy()))
     traces = []
     for t, cfg in enumerate(configs):
         k, termination, final_x = ends[t]
@@ -561,5 +547,7 @@ def run(
             final_x=final_x, config=cfg, frobenius_sq=A.frobenius_sq,
             x_star_norm_sq=x_star_norm_sq, zero_start=zero_start,
             iterates=iterates[t][:k + 1] if capture_iterates else None,
-            **{name: np.concatenate(cols)[:k] for name, cols in parts[t].items()}))
+            **{name: np.concatenate([np.empty(0, dtype),
+                                     *(chunk[name][:, t] for chunk in chunks)])[:k]
+               for name, dtype in columns.items()}))
     return traces[0] if trials is None else traces

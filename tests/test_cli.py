@@ -110,6 +110,33 @@ def test_bench_certify_tells_refused_trials_from_certified_ones(capsys):
                                 ("rk", "greedy traces only")):
             assert trials[(refused, t)]["certified"] == ""
             assert reason in trials[(refused, t)]["refusal"]
+    # A summary row counts the certified trials, and is empty where every check
+    # was refused.
+    means = {row["method"]: row["certified"] for row in rows if row["trial"] == "mean"}
+    assert means == {"grk:alpha=2.5": "", "grk": "2", "rk": ""}
+
+
+def test_bench_summary_rows_leave_certified_empty_when_nothing_was_checked(capsys):
+    # Without --certify no trial is checked, so a summary row's count would
+    # read as "checked, none passed".
+    main(["bench", "--m", "60", "--n", "10", "--methods", "grk,rk", "--trials", "2"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["certified"] for row in rows if row["trial"] == "mean"] == ["", ""]
+
+
+def test_lastrow_run_at_the_rounding_floor_exits_ok(tmp_path, capsys):
+    # lastrow runs on this matrix exited 2 with a failed greedy certificate.
+    path, trace = tmp_path / "lr.mtx", tmp_path / "t.csv"
+    scipy.io.mmwrite(str(path), np.array([[1e6, -1e6, 1e6], [0.0, 1e-5, 0.0]]))
+    assert main(["solve", "--matrix", str(path), "--method", "grk", "--gamma-mode", "lastrow",
+                 "--seed", "0", "--out", str(trace)]) == 0
+    assert "iters=9 termination=converged" in capsys.readouterr().out
+    assert main(["certify", "--trace", str(trace), "--matrix", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--matrix", str(path), "--methods", "grk:gamma_mode=lastrow",
+                 "--trials", "3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["termination"] for row in rows] == ["converged"] * 3 + [""]
 
 
 def test_bench_with_config_file(tmp_path, capsys):
