@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     _check_positive,
     _check_rho,
@@ -282,7 +284,7 @@ def _cmd_bound(args) -> int:
         "complexity": None,  # needs x*
     }
     if problem.x_star is not None:
-        err0 = float(problem.x_star @ problem.x_star)
+        err0 = float(np.add.reduce(problem.x_star * problem.x_star))
         eps = args.epsilon if args.epsilon is not None else 1e-12 * err0
         report["complexity"] = _bound_section(iteration_complexity, sigma_sq, frobenius_sq,
                                               err0, eps, args.rho)

@@ -127,9 +127,7 @@ def read_matrix_market(path) -> RowAccessMatrix:
     except Exception as exc:
         raise ValueError(f"{path}: failed to parse body ({exc})") from exc
     try:
-        if sp.issparse(data):
-            return RowAccessMatrix(data.tocsr())
-        return RowAccessMatrix(np.asarray(data, dtype=np.float64))
+        return RowAccessMatrix(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

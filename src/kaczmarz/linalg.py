@@ -61,11 +61,8 @@ class RowAccessMatrix:
     def __init__(self, matrix):
         if sp.issparse(matrix):
             csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
-            csr.sum_duplicates()
-            csr.sort_indices()
+            csr.sum_duplicates()  # sorts the indices first
             csr.eliminate_zeros()
-            if csr.shape[0] < 1 or csr.shape[1] < 1:
-                raise ValueError("matrix must have at least one row and column")
             csr.indices = csr.indices.astype(np.intp, copy=False)
             csr.indptr = csr.indptr.astype(np.intp, copy=False)
             self._dense = None
@@ -83,14 +80,14 @@ class RowAccessMatrix:
             dense = np.array(matrix, dtype=np.float64, copy=True, order="C")
             if dense.ndim != 2:
                 raise ValueError(f"expected a 2-D matrix, got ndim={dense.ndim}")
-            if dense.shape[0] < 1 or dense.shape[1] < 1:
-                raise ValueError("matrix must have at least one row and column")
             self._dense = dense
             self._csr = None
             values = dense
             self.row_norms_sq = np.einsum("ij,ij->i", dense, dense)
             dense.setflags(write=False)
 
+        if min(self.shape) < 1:
+            raise ValueError("matrix must have at least one row and column")
         if not np.isfinite(values).all():
             raise ValueError("matrix has NaN or infinite entries")
         zero_rows = np.flatnonzero(self.row_norms_sq == 0.0)
@@ -252,12 +249,10 @@ def _check_solves(A: RowAccessMatrix, x: np.ndarray, b: np.ndarray, what: str) -
 def _nonzero_svd(A: RowAccessMatrix, compute_uv: bool):
     """The dense thin SVD of A cut to its singular values above the standard
     numerical-rank cutoff max(m, n) * sigma_max * eps: ``s``, or ``(u, s, vt)``
-    with ``compute_uv``.  sigma_max lies above its own cutoff, so only a zero
-    matrix has none, and it raises ``ValueError``."""
+    with ``compute_uv``.  ``RowAccessMatrix`` refuses zero rows and non-finite
+    entries, so sigma_max > 0 lies above its own cutoff and is always kept."""
     svd = np.linalg.svd(A.to_dense(), full_matrices=False, compute_uv=compute_uv)
     s = svd[1] if compute_uv else svd
-    if s[0] == 0.0:
-        raise ValueError("matrix is numerically zero")
     keep = s > max(A.m, A.n) * float(s[0]) * np.finfo(np.float64).eps
     return (svd[0][:, keep], s[keep], svd[2][keep]) if compute_uv else s[keep]
 

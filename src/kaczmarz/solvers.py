@@ -147,12 +147,13 @@ class Trace:
     ``config.rse_tol``), ``converged``, ``max_iters`` or ``nonfinite`` (a
     metric overflowed).  ``converged`` ends a greedy run at the rounding
     floor, by one rule in every gamma mode: every |r_i| is at most
-    ``1e-14 * max(1, ||b||_inf)``, or no row reaches the mean level
-    ||r||^2/gamma, so that the greedy set's certificate fails.  In exact
-    arithmetic every mode's gamma bounds the active-set mass, so only rounding
-    gets there: exact-mode gamma sums only over the rows above that level
-    while ||r||^2 also holds the rows below it, and lastrow-mode gamma assumes
-    that the previous row's residual is exactly zero.
+    tau = ``1e-14 * max(1, ||b||_inf)``, or no row reaches the mean level
+    ||r||^2/gamma even with ||r||^2 taken over the rows gamma sums, so that
+    the greedy set's certificate fails.  Exact-mode gamma sums the rows with
+    |r_i| > tau and lastrow-mode gamma every row but the previous one, whose
+    residual is zero in exact arithmetic.  Over gamma's own rows a maximum of
+    ratios is at least the ratio of the sums, so only rounding fails the
+    certificate there.
     """
 
     TERMINATIONS: ClassVar[tuple[str, ...]] = (
@@ -240,10 +241,13 @@ class _GreedyRule(NamedTuple):
         (read in exact mode only) and ``last_index`` the previous step's row,
         None before the first step (read in lastrow mode only).  The converged
         rule is the same in every gamma mode: no |r_i| exceeds tau_res, or
-        ``greedy_set`` raises ``GreedyCertificateError``, which only the
-        rounding floor does.
+        ``greedy_set`` raises ``GreedyCertificateError`` with the whole ||r||^2
+        and, where gamma sums fewer rows (exact and lastrow modes), again with
+        ||r||^2 over gamma's rows: the loud rows, or every row but
+        ``last_index``.  Only rounding fails the second call.
         ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
-        ``sample_index`` are called by their module names, once each.
+        ``sample_index`` are called by their module names, once each but for
+        that second ``greedy_set`` call.
         """
         gamma = active_set_gamma(A, self.gamma_mode, loud, last_index)
         # One converged test for every gamma mode; ||r||^2 above the floor
@@ -253,8 +257,23 @@ class _GreedyRule(NamedTuple):
         try:
             indices = greedy_set(A, scores, res_sq, gamma, self.theta)
         except GreedyCertificateError:
-            # Only the rounding floor gets here, in every gamma mode: see ``Trace``.
-            return None
+            # The rows gamma leaves out have zero residual in exact arithmetic,
+            # but at the rounding floor they can hold more of ||r||^2 than the
+            # certificate's slack.  A maximum of ratios is at least the ratio of
+            # the sums, so over gamma's own rows only rounding fails it.
+            if self.gamma_mode is GammaMode.EXACT:
+                rows = loud
+            elif self.gamma_mode is GammaMode.LAST_ROW and last_index is not None:
+                rows = np.arange(len(r)) != last_index
+            else:
+                return None  # gamma sums every row
+            res_sq = float(np.add.reduce(r * r, where=rows))
+            if res_sq == 0.0:
+                return None
+            try:
+                indices = greedy_set(A, scores, res_sq, gamma, self.theta)
+            except GreedyCertificateError:
+                return None
         probs = sampling_distribution(r, indices, self.prob_rule)
         return indices.item(sample_index(probs, rng)), len(indices), gamma
 
@@ -317,16 +336,18 @@ def run(
     arithmetic still runs on its rows, but nothing reads the results.  Each
     trial selects its row from its own generator, through one call each to
     ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
-    ``sample_index`` for ``grk`` and ``mgrk``, computes its coefficient on
-    Python floats and updates its row with ``axpy_row``.  Dense ``rk`` and
-    ``cyclic`` trials without momentum or residual instead take one batched
-    ``np.matmul`` for every <a_i, x> from T = ``_LOCKSTEP_TRIALS`` on, where
-    it beats the per-trial form; both give the same bits.  Every ``res_sq``,
-    ``initial_res_sq`` and ||b||^2 is numpy's pairwise sum of the squares,
-    never a BLAS dot, and one row-wise ``np.add.reduce`` gives the ``res_sq``
-    and the ``err_sq`` of every trial as the 1-D form does, so a trial's trace
-    equals a separate run with its seed bit for bit, and identical inputs give
-    identical traces.  CSR traces hold these bits at every BLAS thread count.
+    ``sample_index`` for ``grk`` and ``mgrk`` (``greedy_set`` once more after
+    a failed certificate, see ``_GreedyRule.select``), computes its
+    coefficient on Python floats and updates its row with ``axpy_row``.
+    Dense ``rk`` and ``cyclic`` trials without momentum or residual instead
+    take one batched ``np.matmul`` for every <a_i, x> from
+    T = ``_LOCKSTEP_TRIALS`` on, where it beats the per-trial form; both give
+    the same bits.  Every ``res_sq``, ``initial_res_sq``, ||b||^2 and
+    ||x*||^2 is numpy's pairwise sum of the squares, never a BLAS dot, and one
+    row-wise ``np.add.reduce`` gives the ``res_sq`` and the ``err_sq`` of
+    every trial as the 1-D form does, so a trial's trace equals a separate
+    run with its seed bit for bit, and identical inputs give identical
+    traces.  CSR traces hold these bits at every BLAS thread count.
     Dense greedy traces hold them for a fixed BLAS build and thread count
     only: their row images are GEMVs, whose results can differ between thread
     counts.
@@ -387,7 +408,7 @@ def run(
     err_sq = x_star_norm_sq = None
     err_denom = 1.0
     if known:
-        x_star_norm_sq = float(x_star @ x_star)
+        x_star_norm_sq = float(np.add.reduce(x_star * x_star))
         err_sq = float(np.sum((x - x_star) ** 2))
         err_denom = x_star_norm_sq or 1.0
     start_reason = _stop_reason([err_sq] if known else (), [res_sq], err_denom, res_denom, rse_tol)
@@ -430,7 +451,7 @@ def run(
         rk_cdf = row_norms_sq.cumsum()
         rk_total = rk_cdf[-1]
     batched = not keeps_r and dense and not momentum and T >= _LOCKSTEP_TRIALS
-    iterates = [[x.copy()] for _ in configs] if capture_iterates else None
+    iterates = [[x.copy()] for _ in configs] if capture_iterates else None  # cut at each end
     # The step metrics, _RK_BLOCK steps at a time: a (steps, T) array per metric.
     chunks = []
     ends = {}  # trial -> (steps, termination, final iterate)
@@ -523,8 +544,7 @@ def run(
             errs = np.add.reduce(buf, 1, None, rec_err[j]).tolist()
         if capture_iterates:
             for p, x_p in enumerate(X):
-                if p not in ends:
-                    iterates[p].append(x_p.copy())
+                iterates[p].append(x_p.copy())
 
         # One test of every trial's metrics finds whether any trial stops.
         if _stop_reason(errs, res, err_denom, res_denom, rse_tol):

@@ -142,7 +142,7 @@ def test_criterion_5_iteration_complexity():
             spec = RandomProblemSpec(m=100, n=25, r=rank, kappa=kappa, seed=400 + i)
             problem = gen_random_problem(spec)
             sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
-            err0 = float(problem.x_star @ problem.x_star)  # x0 = 0
+            err0 = float(np.add.reduce(problem.x_star * problem.x_star))  # x0 = 0; as run sums it
             epsilon = 1e-10 * err0
             k2 = (problem.A.frobenius_sq / sigma_sq) * math.log(err0 / epsilon)
             # Squared error <= epsilon is exactly RSE <= 1e-10 since err0 = ||x*||^2.

@@ -69,6 +69,8 @@ class TestGrkBounds:
             grk_bounds(1.0, 4.0, 4.0, k=1)  # gamma not below frob
         with pytest.raises(ValueError):
             grk_bounds(0.0, 5.0, 4.0, k=1)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            grk_bounds(1.0, 5.0, 4.0, k=-1)
 
     def test_deterministic_never_above_expectation(self):
         rng = np.random.default_rng(43)
@@ -141,6 +143,8 @@ class TestMomentumFactors:
         assert rep.gamma1 == pytest.approx(1.06, rel=1e-12)
         assert rep.gamma2 == pytest.approx(0.12, rel=1e-12)
         assert not rep.feasible
+        with pytest.raises(ValueError, match="infeasible"):
+            rep.envelope(1)
 
     def test_feasible_beta_hand_value(self):
         rep = momentum_factors(1.0, 0.05, 1.0, 5.0)
@@ -158,6 +162,8 @@ class TestMomentumFactors:
         with pytest.raises(ValueError):
             momentum_factors(1.2, 0.1, 1.0, 5.0)  # alpha must be < 1 + beta
         momentum_factors(1.05, 0.1, 1.0, 5.0)
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            momentum_factors(1.0, -0.1, 1.0, 5.0)
 
     def test_sigma_above_frobenius_is_refused(self):
         # sigma^2 <= ||A||_F^2 always; here rounding gives 12.000000000000005 > 12,

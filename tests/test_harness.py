@@ -29,7 +29,7 @@ from kaczmarz.harness import (
     write_trace_csv,
     write_vector,
 )
-from kaczmarz.linalg import Problem, RowAccessMatrix, min_norm_solution
+from kaczmarz.linalg import InconsistentSystemError, Problem, RowAccessMatrix, min_norm_solution
 from kaczmarz.solvers import SolverConfig, run
 from trace_checks import assert_same_steps
 
@@ -203,7 +203,7 @@ class TestMatrixMarket:
         path = write_vector(v, tmp_path / "v.mtx")
         np.testing.assert_array_equal(scipy.io.mmread(path), v.reshape(-1, 1))
 
-    def test_load_problem_from_file(self, tmp_path):
+    def test_load_problem_from_file(self, tmp_path, monkeypatch):
         spec = RandomProblemSpec(m=20, n=5, r=5, kappa=3.0, seed=4)
         problem = gen_random_problem(spec)
         path = write_matrix_market(problem.A, tmp_path / "A.mtx")
@@ -212,6 +212,15 @@ class TestMatrixMarket:
         assert loaded.A.shape == (20, 5)
         trace = run(loaded, SolverConfig(variant="grk", seed=0))
         assert trace.termination == "rse_tol"
+
+        # An oracle that finds b outside Range(A) leaves the problem without x*.
+        def inconsistent(A, b):
+            raise InconsistentSystemError("system is inconsistent")
+
+        monkeypatch.setattr(harness, "min_norm_solution", inconsistent)
+        loaded = load_problem_from_file(path, seed=11)
+        assert loaded.x_star is None
+        assert run(loaded, SolverConfig(variant="grk", seed=0)).termination == "residual_tol"
 
 
 class TestExperiments:
@@ -235,6 +244,8 @@ class TestExperiments:
         with pytest.raises(ValueError):
             ExperimentSpec(source=RandomProblemSpec(10, 5, 5), trials=1,
                            methods=[("a", cfg), ("a", cfg)])
+        with pytest.raises(ValueError, match="at least one method"):
+            ExperimentSpec(source=RandomProblemSpec(10, 5, 5), trials=1, methods=[])
 
     def test_determinism_and_identical_configs(self):
         cfg = SolverConfig(variant="grk", seed=55, max_iters=20_000)

@@ -134,6 +134,21 @@ class TestRowAccessMatrix:
             with pytest.raises(ValueError, match="NaN or infinite"):
                 RowAccessMatrix(storage(np.array([[1.0, bad], [0.0, 1.0]])))
 
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes_rejected(self, storage, shape):
+        with pytest.raises(ValueError, match="at least one row and column"):
+            RowAccessMatrix(storage(np.zeros(shape)))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+            RowAccessMatrix([1.0, 2.0])
+
+    def test_repr(self):
+        assert repr(RowAccessMatrix(DIAG)) == "RowAccessMatrix(2x2, dense)"
+        assert repr(RowAccessMatrix(sp.csr_array(np.ones((3, 2))))) == \
+            "RowAccessMatrix(3x2, sparse)"
+
     def test_immutability(self):
         A = RowAccessMatrix(DIAG)
         with pytest.raises(ValueError):
@@ -186,6 +201,14 @@ class TestProblem:
         Problem(A, [1.0, 4.0], x_star=[1.0, 2.0])
         with pytest.raises(InconsistentSystemError):
             Problem(A, [1.0, 4.0], x_star=[1.0, 0.0])
+
+    def test_plain_array_becomes_a_row_access_matrix(self):
+        problem = Problem(np.array(DIAG), [1.0, 4.0], x_star=[1.0, 2.0])
+        assert isinstance(problem.A, RowAccessMatrix)
+        assert np.array_equal(problem.A.row_norms_sq, [1.0, 4.0])
+        assert repr(problem) == "Problem(RowAccessMatrix(2x2, dense), with x*)"
+        assert repr(Problem(problem.A, [1.0, 4.0])) == \
+            "Problem(RowAccessMatrix(2x2, dense), no x*)"
 
     def test_shape_checks(self):
         A = RowAccessMatrix(DIAG)

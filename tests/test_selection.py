@@ -48,6 +48,12 @@ class TestActiveSetGamma:
         assert active_set_gamma(DIAG, GammaMode.LAST_ROW, last_index=None) == 5.0
         assert active_set_gamma(DIAG, GammaMode.LAST_ROW, last_index=1) == 1.0
 
+    def test_mode_given_as_a_string(self):
+        assert active_set_gamma(DIAG, "lastrow", last_index=1) == 1.0
+        assert active_set_gamma(DIAG, "exact", np.array([True, False])) == 1.0
+        with pytest.raises(ValueError, match="bogus"):
+            active_set_gamma(DIAG, "bogus")
+
     def test_exact_quiet_residual_signals_converged(self):
         gamma = gamma_of(DIAG, np.array([1e-16, -1e-16]), GammaMode.EXACT, tau_res=1e-14)
         assert gamma == 0.0

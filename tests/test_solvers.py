@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,7 +422,8 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
         keep_residual = greedy or x_star is None
     mode = config.resolved_gamma_mode()
     tau = 1e-14 * max(1.0, np.max(np.abs(b)))
-    err_denom = (float(x_star @ x_star) or 1.0) if x_star is not None else None
+    x_star_sq = float(np.add.reduce(x_star * x_star)) if x_star is not None else None
+    err_denom = (x_star_sq or 1.0) if x_star is not None else None
     res_denom = float(np.add.reduce(b * b)) or 1.0
     rng = np.random.default_rng(config.seed)
     cdf = np.cumsum(norms)
@@ -452,8 +454,20 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
             try:
                 indices = solvers.greedy_set(A, scores, res_sq, gamma, config.theta)
             except GreedyCertificateError:
-                termination = "converged"
-                break
+                indices = None
+                # Once more with ||r||^2 over the rows gamma sums, where those
+                # are not all rows: the loud rows, or every row but the last.
+                if mode == "exact" or mode == "lastrow" and last is not None:
+                    rows = loud if mode == "exact" else np.arange(m) != last
+                    rss = float(np.add.reduce(r * r, where=rows))
+                    if rss != 0.0:
+                        try:
+                            indices = solvers.greedy_set(A, scores, rss, gamma, config.theta)
+                        except GreedyCertificateError:
+                            pass
+                if indices is None:
+                    termination = "converged"
+                    break
             probs = solvers.sampling_distribution(r, indices, config.prob_rule)
             i = int(indices[solvers.sample_index(probs, rng)])
             steps["set_size"].append(len(indices))
@@ -484,7 +498,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     return Trace(termination=termination or "max_iters", initial_err_sq=initial_err,
                  initial_res_sq=initial_res,
                  final_x=x.copy(), config=config, frobenius_sq=A.frobenius_sq,
-                 x_star_norm_sq=float(x_star @ x_star) if x_star is not None else None,
+                 x_star_norm_sq=x_star_sq,
                  iterates=iterates if capture else None,
                  **{name: np.array(values, dtype=np.int64 if name in ("index", "set_size")
                                    else np.float64) if recorded[name] else None
@@ -504,6 +518,17 @@ def test_err_sq_is_bitwise_numpy_sum_of_squares(variant, beta, storage):
     assert len(trace.iterates) == trace.iterations + 1 > 30
     for err_sq, x in zip(trace.err_sq.tolist(), trace.iterates[1:]):
         assert err_sq == float(np.sum((x - x_star) ** 2))
+
+
+def test_x_star_norm_is_numpy_sum_of_squares():
+    # It sets every rse_tol stop and final_rse.  A BLAS dot sums in another
+    # order here (0x1.3bfa312785c36p+12 against ...c33p+12), and for long
+    # vectors in an order that depends on the BLAS thread count.
+    x_star = np.random.default_rng(3).standard_normal(5000)
+    A = RowAccessMatrix(sp.csr_array(([1.0, 2.0], ([0, 1], [0, 4999])), shape=(2, 5000)))
+    problem = Problem(A, A.matvec(x_star), x_star=x_star)
+    trace = run(problem, SolverConfig(variant="rk", max_iters=1))
+    assert trace.x_star_norm_sq == float(np.add.reduce(x_star * x_star))
 
 
 # A CSR greedy run with m >= 12000, no x*, printed as JSON: the initial ||r||^2,
@@ -733,6 +758,43 @@ class TestRoundingFloor:
                                           beta=beta, rse_tol=1e-300))
         assert trace.termination == "converged"
         assert trace.res_sq[-1] <= 1e-20 * float(problem.b @ problem.b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 12), n=st.integers(1, 6),
+           decades=st.integers(0, 14),
+           variant_beta=st.sampled_from([("grk", 0.0), ("mgrk", 0.3), ("mgrk", 0.0)]),
+           gamma_mode=st.sampled_from(["exact", "lastrow", "frobenius"]),
+           storage=st.sampled_from(["dense", "csr"]), trials=st.sampled_from([1, 3]))
+    def test_converged_only_with_no_row_of_gamma_above_tau(self, seed, m, n, decades,
+                                                           variant_beta, gamma_mode, storage,
+                                                           trials):
+        # Rows whose norms span up to 14 decades leave the quiet rows at the
+        # rounding floor holding much of ||r||^2.  A run may end converged only
+        # where no row that gamma sums has |r_i| > tau: the loud rows in exact
+        # mode, every row but the previous one in lastrow mode, every row in
+        # frobenius mode.
+        variant, beta = variant_beta
+        assume(gamma_mode != "lastrow" or beta == 0.0)
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(0, decades, (m, 1))
+        A = RowAccessMatrix(mat if storage == "dense" else sp.csr_array(mat))
+        problem = Problem(A, A.matvec(rng.standard_normal(n)))
+        select, stops = solvers._GreedyRule.select, []
+
+        def checked(rule, A, r, scores, loud, res_sq, last_index, rng):
+            pick = select(rule, A, r, scores, loud, res_sq, last_index, rng)
+            if pick is None:
+                rows = np.abs(r) > rule.tau_res
+                if rule.gamma_mode == "lastrow" and last_index is not None:
+                    rows[last_index] = False
+                stops.append(np.flatnonzero(rows).tolist())
+            return pick
+
+        config = SolverConfig(variant=variant, beta=beta, gamma_mode=gamma_mode, seed=seed,
+                              max_iters=2000, rse_tol=1e-300)
+        with mock.patch.object(solvers._GreedyRule, "select", checked):
+            traces = run(problem, config, trials=trials)
+        assert stops == [[]] * sum(trace.termination == "converged" for trace in traces)
 
 
 def assert_same_run(trace, reference):
@@ -1006,13 +1068,18 @@ class TestTrials:
     def test_trials_call_the_selection_functions_as_separate_runs_do(
             self, monkeypatch, variant, beta, gamma_mode):
         # The benchmark's selection spans wrap these module names; a run of T
-        # trials makes one call to each per trial and step, as separate runs do.
+        # trials makes one call to each per trial and step, as separate runs do,
+        # and one more greedy_set call per failed certificate.
         calls = Counter()
         for name in ("greedy_set", "active_set_gamma", "sampling_distribution",
                      "sample_index"):
             def counted(*args, _name=name, _original=getattr(solvers, name)):
                 calls[_name] += 1
-                return _original(*args)
+                try:
+                    return _original(*args)
+                except GreedyCertificateError:
+                    calls["failed certificates"] += 1
+                    raise
 
             monkeypatch.setattr(solvers, name, counted)
         problem = rounding_floor_problem(0, known=True)
@@ -1024,11 +1091,14 @@ class TestTrials:
         calls.clear()
         run(problem, config, trials=trials)
         assert calls == expected
-        # Each step calls all four; a run that ends converged may call the first
-        # two once more.
+        # Each step calls all four, and the select that ends a converged run the
+        # first one and maybe greedy_set; a failed certificate costs exactly one
+        # greedy_set call more than the steps take.
+        assert all(trace.termination == "converged" for trace in separate)
         steps = sum(trace.iterations for trace in separate)
         assert expected["sample_index"] == expected["sampling_distribution"] == steps
-        assert steps <= expected["greedy_set"] <= expected["active_set_gamma"] <= steps + trials
+        assert expected["active_set_gamma"] == steps + trials
+        assert expected["greedy_set"] == steps + expected["failed certificates"]
 
 
 def test_lastrow_gamma_of_a_dominant_row_keeps_its_certificate():
@@ -1053,18 +1123,26 @@ def test_lastrow_gamma_of_a_dominant_row_keeps_its_certificate():
 
 def test_lastrow_run_at_the_rounding_floor_ends_converged(tmp_path):
     # Rounding leaves the projected row's residual above zero, which lastrow's
-    # gamma assumes it is; no member then reaches ||r||^2/gamma, and these runs
-    # raised GreedyCertificateError where exact mode ends converged.
+    # gamma assumes it is, and leaves the quiet rows that exact-mode gamma
+    # skips above zero; with ||r||^2 over every row no member reaches
+    # ||r||^2/gamma, and a run that stopped there would end converged after 9,
+    # 4, 12 and 9 steps at a relative error up to 9.4e-3.  With the
+    # certificate retried over gamma's own rows, every mode reaches the
+    # frobenius run's steps and error.
     path = tmp_path / "lr.mtx"
     scipy.io.mmwrite(path, np.array([[1e6, -1e6, 1e6], [0.0, 1e-5, 0.0]]))
     for seed in range(4):
         problem = load_problem(path, seed=seed)
-        lastrow, exact = (run(problem, SolverConfig(variant="grk", gamma_mode=mode, seed=seed))
-                          for mode in ("lastrow", "exact"))
-        assert lastrow.termination == exact.termination == "converged"
-        assert np.array_equal(lastrow.index, exact.index)
-        assert np.array_equal(lastrow.final_x, exact.final_x)
-        assert lastrow.iterations == {0: 9, 1: 4, 2: 12, 3: 9}[seed]
+        lastrow, exact, frobenius = (
+            run(problem, SolverConfig(variant="grk", gamma_mode=mode, seed=seed))
+            for mode in ("lastrow", "exact", "frobenius"))
+        assert frobenius.iterations == {0: 11, 1: 16, 2: 14, 3: 11}[seed]
+        assert frobenius.final_rse() < {0: 3e-6, 1: 2e-8, 2: 6e-8, 3: 3e-6}[seed]
+        for trace in (lastrow, exact, frobenius):
+            assert trace.termination == "converged"
+            assert np.array_equal(trace.index, frobenius.index)
+            assert np.array_equal(trace.final_x, frobenius.final_x)
+            assert trace.final_rse() == frobenius.final_rse()
 
 
 def image_bytes(image):
