@@ -14,15 +14,7 @@ from .linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
-from .selection import (
-    GammaMode,
-    GreedyCertificateError,
-    ProbabilityRule,
-    active_set_gamma,
-    greedy_set,
-    sample_index,
-    sampling_distribution,
-)
+from .selection import GammaMode, ProbabilityRule
 from .solvers import (
     SolverConfig,
     SolverVariant,

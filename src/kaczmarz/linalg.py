@@ -30,6 +30,8 @@ class InconsistentSystemError(ValueError):
 
 
 def _as_vector(v, length: int, name: str) -> np.ndarray:
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} is complex; real-valued only")
     arr = np.asarray(v, dtype=np.float64).ravel()
     if arr.shape[0] != length:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
@@ -41,12 +43,13 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 class RowAccessMatrix:
     """An immutable m-by-n matrix with cached squared row norms.
 
-    Accepts a dense 2-D array-like or any scipy sparse matrix (stored in
-    canonical CSR form).  NaN or infinite entries and rows with zero norm are
-    rejected outright: every row must define a hyperplane for projection
-    methods to make sense.  ``row_image`` returns one format for both storage
-    kinds, ``(rows, values)``: a full slice and a dense vector for dense
-    storage, the image's support and its entries for sparse storage.
+    Accepts a real dense 2-D array-like or any real scipy sparse matrix
+    (stored in canonical CSR form).  Complex input, NaN or infinite entries and
+    rows with zero norm are rejected outright: every row must define a
+    hyperplane for projection methods to make sense.  ``row_image`` returns
+    one format for both storage kinds, ``(rows, values)``: a full slice and a
+    dense vector for dense storage, the image's support and its entries for
+    sparse storage.
 
     Sparse storage keeps its ``indices`` and ``indptr`` as ``np.intp``, the
     width numpy indexes with, so no fancy-index op on them, nor on the CSC
@@ -59,6 +62,8 @@ class RowAccessMatrix:
     """
 
     def __init__(self, matrix):
+        if np.iscomplexobj(matrix):  # for dense and sparse input alike
+            raise ValueError("matrix is complex; real-valued only")
         if sp.issparse(matrix):
             csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
             csr.sum_duplicates()  # sorts the indices first

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import Problem, RowAccessMatrix, _as_vector
 from .selection import (
     GammaMode,
-    GreedyCertificateError,
     ProbabilityRule,
     active_set_gamma,
     greedy_set,
@@ -149,7 +148,8 @@ class Trace:
     floor, by one rule in every gamma mode: every |r_i| is at most
     tau = ``1e-14 * max(1, ||b||_inf)``, or no row reaches the mean level
     ||r||^2/gamma even with ||r||^2 taken over the rows gamma sums, so that
-    the greedy set's certificate fails.  Exact-mode gamma sums the rows with
+    the greedy set's certificate fails and ``greedy_set`` returns an empty
+    set.  Exact-mode gamma sums the rows with
     |r_i| > tau and lastrow-mode gamma every row but the previous one, whose
     residual is zero in exact arithmetic.  Over gamma's own rows a maximum of
     ratios is at least the ratio of the sums, so only rounding fails the
@@ -240,10 +240,10 @@ class _GreedyRule(NamedTuple):
         ``scores`` are r_i^2/||a_i||^2, ``loud`` the mask |r_i| > tau_res
         (read in exact mode only) and ``last_index`` the previous step's row,
         None before the first step (read in lastrow mode only).  The converged
-        rule is the same in every gamma mode: no |r_i| exceeds tau_res, or
-        ``greedy_set`` raises ``GreedyCertificateError`` with the whole ||r||^2
-        and, where gamma sums fewer rows (exact and lastrow modes), again with
-        ||r||^2 over gamma's rows: the loud rows, or every row but
+        rule is the same in every gamma mode: no |r_i| exceeds tau_res, or the
+        certificate fails (``greedy_set`` returns an empty set) with the whole
+        ||r||^2 and, where gamma sums fewer rows (exact and lastrow modes),
+        again with ||r||^2 over gamma's rows: the loud rows, or every row but
         ``last_index``.  Only rounding fails the second call.
         ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
         ``sample_index`` are called by their module names, once each but for
@@ -254,9 +254,8 @@ class _GreedyRule(NamedTuple):
         # proves some |r_i| > tau_res without reading r.
         if res_sq <= self.loud_floor and not np.any(np.abs(r) > self.tau_res):
             return None
-        try:
-            indices = greedy_set(A, scores, res_sq, gamma, self.theta)
-        except GreedyCertificateError:
+        indices = greedy_set(scores, res_sq, gamma, self.theta)
+        if not indices.size:
             # The rows gamma leaves out have zero residual in exact arithmetic,
             # but at the rounding floor they can hold more of ||r||^2 than the
             # certificate's slack.  A maximum of ratios is at least the ratio of
@@ -270,9 +269,8 @@ class _GreedyRule(NamedTuple):
             res_sq = float(np.add.reduce(r * r, where=rows))
             if res_sq == 0.0:
                 return None
-            try:
-                indices = greedy_set(A, scores, res_sq, gamma, self.theta)
-            except GreedyCertificateError:
+            indices = greedy_set(scores, res_sq, gamma, self.theta)
+            if not indices.size:
                 return None
         probs = sampling_distribution(r, indices, self.prob_rule)
         return indices.item(sample_index(probs, rng)), len(indices), gamma
@@ -337,8 +335,9 @@ def run(
     trial selects its row from its own generator, through one call each to
     ``active_set_gamma``, ``greedy_set``, ``sampling_distribution`` and
     ``sample_index`` for ``grk`` and ``mgrk`` (``greedy_set`` once more after
-    a failed certificate, see ``_GreedyRule.select``), computes its
-    coefficient on Python floats and updates its row with ``axpy_row``.
+    a failed certificate, which it reports as an empty set; see
+    ``_GreedyRule.select``), computes its coefficient on Python floats and
+    updates its row with ``axpy_row``.
     Dense ``rk`` and ``cyclic`` trials without momentum or residual instead
     take one batched ``np.matmul`` for every <a_i, x> from
     T = ``_LOCKSTEP_TRIALS`` on, where it beats the per-trial form; both give

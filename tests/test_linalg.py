@@ -140,6 +140,13 @@ class TestRowAccessMatrix:
         with pytest.raises(ValueError, match="at least one row and column"):
             RowAccessMatrix(storage(np.zeros(shape)))
 
+    @pytest.mark.filterwarnings("error")  # refused outright, not cast with a ComplexWarning
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
+    @pytest.mark.parametrize("container", [np.array, list], ids=["array", "list"])
+    def test_complex_entries_rejected(self, storage, container):
+        with pytest.raises(ValueError, match="real-valued only"):
+            RowAccessMatrix(storage(container([[1 + 2j, 0], [0, 1]])))
+
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
             RowAccessMatrix([1.0, 2.0])
@@ -221,6 +228,23 @@ class TestProblem:
             Problem(A, [np.inf, 1.0])
         with pytest.raises(ValueError, match="x_star has NaN or infinite"):
             Problem(A, [1.0, 4.0], x_star=[np.nan, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("container", [np.array, list], ids=["array", "list"])
+    def test_complex_vectors_rejected(self, container):
+        A = RowAccessMatrix(DIAG)
+        with pytest.raises(ValueError, match="b is complex; real-valued only"):
+            Problem(A, container([1 + 1j, 4.0]))
+        with pytest.raises(ValueError, match="x_star is complex; real-valued only"):
+            Problem(A, [1.0, 4.0], x_star=container([1.0, 2.0 + 0j]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("container", [np.array, list], ids=["array", "list"])
+def test_complex_start_rejected(container):
+    problem = Problem(RowAccessMatrix(DIAG), [1.0, 4.0])
+    with pytest.raises(ValueError, match="x0 is complex; real-valued only"):
+        run(problem, SolverConfig(), x0=container([1j, 0.0]))
 
 
 def test_spectral_lower_bound_on_range_vectors():
@@ -347,7 +371,7 @@ class TestSparseRowImage:
     @example(seed=0, m=15, n=10, density=0.3, mode_beta=("exact", 0.0), prob_rule="residual",
              with_x_star=False, max_iters=1500)
     # A last row with nearly all of ||A||_F^2, where gamma once cancelled below the
-    # active-set mass and the run raised GreedyCertificateError.
+    # active-set mass and greedy_set's certificate failed, which ended the run.
     @example(seed=344, m=2, n=10, density=0.25, mode_beta=("lastrow", 0.0),
              prob_rule="residual", with_x_star=False, max_iters=300)
     def test_support_updates_equal_full_updates(self, seed, m, n, density, mode_beta,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,12 +30,6 @@ from kaczmarz.linalg import (
     RowAccessMatrix,
     min_norm_solution,
     smallest_nonzero_singular_value,
-)
-from kaczmarz.selection import (
-    GreedyCertificateError,
-    ProbabilityRule,
-    sample_index,
-    sampling_distribution,
 )
 from kaczmarz.solvers import (
     _LOCKSTEP_TRIALS,
@@ -74,8 +69,14 @@ class TestConfig:
             SolverConfig(alpha=0.0)
         with pytest.raises(ValueError):
             SolverConfig(beta=-0.1)
-        with pytest.raises(ValueError):
-            SolverConfig(theta=1.5)
+        # run passes theta and the enum members to the selection functions
+        # unchecked, so the config is the one place that refuses bad values.
+        for theta in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="theta must lie in"):
+                SolverConfig(theta=theta)
+        for bad in ({"gamma_mode": "bogus"}, {"prob_rule": "bogus"}):
+            with pytest.raises(ValueError, match="bogus"):
+                SolverConfig(**bad)
         with pytest.raises(ValueError):
             SolverConfig(variant="grk", beta=0.5)
         SolverConfig(variant="mgrk", beta=0.5)  # momentum variant allows it
@@ -375,8 +376,8 @@ class TestRunBehavior:
 
 class TestGammaModeOrdering:
     def test_exact_leq_lastrow_leq_frobenius_along_trace(self):
-        from kaczmarz.selection import GammaMode, active_set_gamma, greedy_set, \
-            sample_index, sampling_distribution
+        from kaczmarz.selection import GammaMode, ProbabilityRule, active_set_gamma, \
+            greedy_set, sample_index, sampling_distribution
 
         problem = random_problem(40, 10, seed=25)
         A, b = problem.A, problem.b
@@ -395,8 +396,8 @@ class TestGammaModeOrdering:
             if k >= 1:
                 assert g_exact <= g_last + slack
             assert g_last <= g_frob + slack
-            indices = greedy_set(A, r * r / A.row_norms_sq, float(r @ r), g_exact)
-            probs = sampling_distribution(r, indices, "residual")
+            indices = greedy_set(r * r / A.row_norms_sq, float(r @ r), g_exact, 0.5)
+            probs = sampling_distribution(r, indices, ProbabilityRule.RESIDUAL)
             i = int(indices[sample_index(probs, rng)])
             x = x - (r[i] / A.row_norms_sq[i]) * A.to_dense()[i]
             last = i
@@ -451,21 +452,17 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
                 termination = "converged"
                 break
             gamma = solvers.active_set_gamma(A, mode, loud, last)
-            try:
-                indices = solvers.greedy_set(A, scores, res_sq, gamma, config.theta)
-            except GreedyCertificateError:
-                indices = None
-                # Once more with ||r||^2 over the rows gamma sums, where those
-                # are not all rows: the loud rows, or every row but the last.
+            indices = solvers.greedy_set(scores, res_sq, gamma, config.theta)
+            if not indices.size:
+                # A failed certificate.  Once more with ||r||^2 over the rows
+                # gamma sums, where those are not all rows: the loud rows, or
+                # every row but the last.
                 if mode == "exact" or mode == "lastrow" and last is not None:
                     rows = loud if mode == "exact" else np.arange(m) != last
                     rss = float(np.add.reduce(r * r, where=rows))
                     if rss != 0.0:
-                        try:
-                            indices = solvers.greedy_set(A, scores, rss, gamma, config.theta)
-                        except GreedyCertificateError:
-                            pass
-                if indices is None:
+                        indices = solvers.greedy_set(scores, rss, gamma, config.theta)
+                if not indices.size:
                     termination = "converged"
                     break
             probs = solvers.sampling_distribution(r, indices, config.prob_rule)
@@ -797,6 +794,67 @@ class TestRoundingFloor:
         assert stops == [[]] * sum(trace.termination == "converged" for trace in traces)
 
 
+class TestSelectionContract:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 12), n=st.integers(1, 6),
+           decades=st.integers(0, 14),
+           variant_beta=st.sampled_from([("grk", 0.0), ("mgrk", 0.0), ("mgrk", 0.4),
+                                         ("mgrk", 3.0)]),
+           gamma_mode=st.sampled_from(["exact", "lastrow", "frobenius"]),
+           prob_rule=st.sampled_from(["residual", "uniform"]), theta=st.floats(0.0, 1.0),
+           storage=st.sampled_from(["dense", "csr"]), trials=st.sampled_from([1, 3]),
+           known=st.booleans())
+    def test_run_keeps_the_input_contract_of_each_selection_call(
+            self, seed, m, n, decades, variant_beta, gamma_mode, prob_rule, theta, storage,
+            trials, known):
+        # The four selection functions check none of their inputs; run is their
+        # only caller, and every call it makes must meet their contract.  beta = 3
+        # diverges, and run must end such a trial nonfinite before it selects.
+        variant, beta = variant_beta
+        if gamma_mode == "lastrow":
+            beta = 0.0  # lastrow needs alpha = 1 and beta = 0
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(0, decades, (m, 1))
+        A = RowAccessMatrix(mat if storage == "dense" else sp.csr_array(mat))
+        b = A.matvec(rng.standard_normal(n))
+        problem = Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
+        original = {name: getattr(solvers, name) for name in (
+            "active_set_gamma", "greedy_set", "sampling_distribution", "sample_index")}
+
+        def active_set_gamma(A, mode, loud, last_index):
+            assert type(mode) is solvers.GammaMode
+            if mode is solvers.GammaMode.EXACT:
+                assert loud.dtype == bool and loud.shape == (m,)
+            return original["active_set_gamma"](A, mode, loud, last_index)
+
+        def greedy_set(scores, rss, gamma, theta):
+            assert 0.0 < gamma < math.inf and 0.0 < rss < math.inf
+            assert 0.0 <= theta <= 1.0 and len(scores) == m
+            indices = original["greedy_set"](scores, rss, gamma, theta)
+            if indices.size:  # a passed certificate
+                assert scores.argmax() in indices
+                assert np.min(scores[indices]) >= rss / gamma * (1.0 - 1e-9)
+            return indices
+
+        def sampling_distribution(r, indices, rule):
+            assert type(rule) is solvers.ProbabilityRule and indices.size
+            assert np.add.reduce(r[indices] ** 2) > 0.0
+            return original["sampling_distribution"](r, indices, rule)
+
+        def sample_index(probs, rng):
+            assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) <= 1e-9
+            return original["sample_index"](probs, rng)
+
+        config = SolverConfig(variant=variant, beta=beta, gamma_mode=gamma_mode,
+                              prob_rule=prob_rule, theta=theta, seed=seed, max_iters=400,
+                              rse_tol=1e-300)
+        with mock.patch.object(solvers, "active_set_gamma", active_set_gamma), \
+                mock.patch.object(solvers, "greedy_set", greedy_set), \
+                mock.patch.object(solvers, "sampling_distribution", sampling_distribution), \
+                mock.patch.object(solvers, "sample_index", sample_index):
+            run(problem, config, trials=trials)
+
+
 def assert_same_run(trace, reference):
     """Bit-equal runs: the step columns compare as ``assert_same_steps`` does, so
     NaN and the sign of zero count, and a failure names its first differing step."""
@@ -1028,10 +1086,10 @@ class TestTrials:
         problem = random_problem(40, 8, seed=5, kappa=3.0)
         original = solvers.greedy_set
 
-        def failing(A, scores, rss, gamma, theta):
+        def failing(scores, rss, gamma, theta):
             if rss < 1e-8:
-                raise GreedyCertificateError("member below the certificate")
-            return original(A, scores, rss, gamma, theta)
+                return np.empty(0, dtype=np.intp)
+            return original(scores, rss, gamma, theta)
 
         monkeypatch.setattr(solvers, "greedy_set", failing)
         config = SolverConfig(variant="grk", gamma_mode=gamma_mode, seed=1)
@@ -1075,11 +1133,10 @@ class TestTrials:
                      "sample_index"):
             def counted(*args, _name=name, _original=getattr(solvers, name)):
                 calls[_name] += 1
-                try:
-                    return _original(*args)
-                except GreedyCertificateError:
+                result = _original(*args)
+                if _name == "greedy_set" and not result.size:
                     calls["failed certificates"] += 1
-                    raise
+                return result
 
             monkeypatch.setattr(solvers, name, counted)
         problem = rounding_floor_problem(0, known=True)
