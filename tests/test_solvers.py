@@ -854,6 +854,84 @@ class TestSelectionContract:
                 mock.patch.object(solvers, "sample_index", sample_index):
             run(problem, config, trials=trials)
 
+    # Deterministic edge cases of the same contract, each at the place that now
+    # guarantees what a selection function once checked for itself.
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        """Wrap the four selection names in ``solvers``; each call appends
+        (name, args, result) to the returned list, with copies of the array
+        arguments, which run updates in place after the call."""
+        calls = []
+        for name in ("active_set_gamma", "greedy_set", "sampling_distribution",
+                     "sample_index"):
+            def recorded(*args, _name=name, _original=getattr(solvers, name)):
+                kept = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+                result = _original(*args)
+                calls.append((_name, kept, result))
+                return result
+
+            monkeypatch.setattr(solvers, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("gamma_mode", ["exact", "lastrow", "frobenius"])
+    def test_config_strings_reach_selection_as_members(self, monkeypatch, gamma_mode):
+        # active_set_gamma and sampling_distribution compare with `is`, so a
+        # string that slipped past SolverConfig would silently pick a wrong branch.
+        calls = self.record_calls(monkeypatch)
+        for prob_rule in ("residual", "uniform"):
+            calls.clear()
+            run(DIAG_PROBLEM, SolverConfig(variant="grk", gamma_mode=gamma_mode,
+                                           prob_rule=prob_rule, seed=0))
+            modes = [args[1] for name, args, _ in calls if name == "active_set_gamma"]
+            rules = [args[2] for name, args, _ in calls if name == "sampling_distribution"]
+            assert modes and rules
+            assert all(mode is solvers.GammaMode(gamma_mode) for mode in modes)
+            assert all(rule is solvers.ProbabilityRule(prob_rule) for rule in rules)
+
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_array], ids=["dense", "csr"])
+    def test_exact_mode_mask_marks_the_loud_rows(self, monkeypatch, storage):
+        # Row 1 starts with a zero residual, so gamma_0 sums rows 0 and 2 only:
+        # 1 + 9 = 10.  An integer 0/1 mask would index rows 1, 0, 1 and give 9.
+        calls = self.record_calls(monkeypatch)
+        A = RowAccessMatrix(storage(np.diag([1.0, 2.0, 3.0])))
+        problem = Problem(A, [1.0, 0.0, 3.0], x_star=[1.0, 0.0, 1.0])
+        trace = run(problem, SolverConfig(variant="grk", gamma_mode="exact", seed=0))
+        assert trace.termination == "rse_tol" and trace.gamma[0] == 10.0
+        masks = [(args[2], result) for name, args, result in calls
+                 if name == "active_set_gamma"]
+        assert len(masks) == trace.iterations
+        for loud, gamma in masks:
+            assert loud.dtype == bool and loud.shape == (3,)
+            assert gamma == float(A.row_norms_sq[loud].sum())
+
+    @pytest.mark.parametrize("gamma_mode", ["exact", "lastrow", "frobenius"])
+    def test_quiet_start_ends_converged_before_greedy_set(self, monkeypatch, gamma_mode):
+        # Every |r_i| is nonzero but at most tau = 4e-14, and rse_tol is too
+        # small to stop the run: select's converged test must end it before
+        # greedy_set sees a residual with no row above tau.
+        calls = self.record_calls(monkeypatch)
+        problem = Problem(DIAG_PROBLEM.A, DIAG_PROBLEM.b)
+        trace = run(problem, SolverConfig(variant="grk", gamma_mode=gamma_mode,
+                                          rse_tol=1e-300),
+                    x0=np.array([1.0 + 2**-52, 2.0 - 2**-51]))
+        assert 0.0 < trace.initial_res_sq
+        assert trace.termination == "converged" and trace.iterations == 0
+        assert [name for name, _, _ in calls] == ["active_set_gamma"]
+
+    @pytest.mark.parametrize("b", [[1.0e154, 1.3e154], [1e200, 3e200]],
+                             ids=["finite-squares", "infinite-squares"])
+    def test_overflowing_residual_never_reaches_selection(self, monkeypatch, b):
+        # ||r||^2 at x0 = 0 overflows, though in the first case each r_i^2 is
+        # finite: run's stop test ends the run nonfinite before any selection.
+        calls = self.record_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(Problem(DIAG_PROBLEM.A, b), SolverConfig(variant="grk"))
+        assert trace.termination == "nonfinite" and trace.iterations == 0
+        assert trace.initial_res_sq == math.inf
+        assert calls == []
+
 
 def assert_same_run(trace, reference):
     """Bit-equal runs: the step columns compare as ``assert_same_steps`` does, so
