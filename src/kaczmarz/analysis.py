@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RowAccessMatrix, smallest_nonzero_singular_value
+from .linalg import RowAccessMatrix
 from .solvers import Trace
 
 __all__ = [
@@ -149,15 +149,14 @@ def grk_bounds(
     return exp_step ** (k - 1) * first, det_step ** (k - 1) * first
 
 
-def rate_report(A: RowAccessMatrix, sigma_min_sq: float | None = None) -> RateReport:
-    """Rate constants for ``A``; computes sigma_min by dense SVD if not given.
+def rate_report(A: RowAccessMatrix, sigma_min_sq: float) -> RateReport:
+    """Rate constants for ``A`` with smallest nonzero squared singular value
+    ``sigma_min_sq``.
 
     The factors are those of ``grk_bounds`` with gamma = ``gamma_leaveout(A)``,
     under the same hypothesis sigma^2 <= gamma, which fails for instance on
     a rank-one matrix, whose sigma^2 is all of ||A||_F^2.
     """
-    if sigma_min_sq is None:
-        sigma_min_sq = smallest_nonzero_singular_value(A) ** 2
     frob, gamma = A.frobenius_sq, gamma_leaveout(A)
     return RateReport(float(sigma_min_sq), frob, gamma, *_grk_factors(sigma_min_sq, frob, gamma))
 
@@ -268,16 +267,16 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
 
     A bound is asserted only where its hypotheses hold.  ``ValueError``
     refuses a trace without the error metric or (rk, cyclic) gamma, one
-    that did not start from x0 = 0 or does not record its start (both bounds
-    need x0 - x* in Range(A^T), which x0 = 0 meets, x* being the minimum-norm
-    solution), a ``sigma_min_sq`` or recorded ||A||_F^2 that is not finite
-    and positive, an initial squared error that is not finite and
-    nonnegative, a recorded gamma that is not finite and positive or that
-    exceeds the recorded ||A||_F^2 by more than a relative 1e-12 (a genuine
-    gamma exceeds it by rounding at most, and a larger one loosens the
-    per-step bound), alpha outside (0, 2) without momentum or (0, 1 + beta)
-    with it, and an infeasible momentum envelope, naming ``beta_upper`` when
-    alpha <= 1.  A NaN error is a violation.
+    that did not start from x0 = 0 (both bounds need x0 - x* in Range(A^T),
+    which x0 = 0 meets, x* being the minimum-norm solution), a
+    ``sigma_min_sq`` or recorded ||A||_F^2 that is not finite and positive,
+    an initial squared error that is not finite and nonnegative, a recorded
+    gamma that is not finite and positive or that exceeds the recorded
+    ||A||_F^2 by more than a relative 1e-12 (a genuine gamma exceeds it by
+    rounding at most, and a larger one loosens the per-step bound), alpha
+    outside (0, 2) without momentum or (0, 1 + beta) with it, and an
+    infeasible momentum envelope, naming ``beta_upper`` when alpha <= 1.  A
+    NaN error is a violation.
     """
     if trace.initial_err_sq is None or trace.err_sq is None:
         raise ValueError("trace has no error metric; run with a known x_star to certify")
@@ -291,10 +290,9 @@ def certify_trace(trace: Trace, sigma_min_sq: float) -> CertificationResult:
     # Both bounds rest on greedy selection; rk and cyclic record no gamma.
     if trace.gamma is None:
         raise ValueError("trace has no gamma; certification applies to greedy traces only")
-    if trace.zero_start is not True:
-        start = "a nonzero x0" if trace.zero_start is False else "an unrecorded x0"
-        raise ValueError(f"trace starts from {start}; the bounds need x0 - x* in Range(A^T), "
-                         "which only x0 = 0 is known to meet")
+    if not trace.zero_start:
+        raise ValueError("trace starts from a nonzero x0; the bounds need x0 - x* in "
+                         "Range(A^T), which only x0 = 0 is known to meet")
     if not np.all((trace.gamma > 0.0) & (trace.gamma < math.inf)):
         raise ValueError("every recorded gamma must be finite and positive")
     # Each gamma sums row norms out of ||A||_F^2; 1e-12 covers the rounding.

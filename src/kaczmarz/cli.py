@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import harness
 from .analysis import (
     _check_positive,
     _check_rho,
@@ -273,9 +274,18 @@ def _bound_section(build, *args) -> dict:
         return {"error": str(exc)}
 
 
+def _oracle_sigma_min_sq(A, alternative: str = "") -> float:
+    """sigma_min^2 of ``A`` by the dense SVD oracle; ``ValueError`` naming
+    ``alternative`` when min(m, n) is above ``harness.ORACLE_SIZE_LIMIT``."""
+    if min(A.shape) > harness.ORACLE_SIZE_LIMIT:
+        raise ValueError(f"min(m, n) = {min(A.shape)} is above {harness.ORACLE_SIZE_LIMIT}, "
+                         f"the largest size the dense SVD oracle runs at{alternative}")
+    return smallest_nonzero_singular_value(A) ** 2
+
+
 def _cmd_bound(args) -> int:
     problem = load_problem(args.source, args.seed)
-    sigma_sq = smallest_nonzero_singular_value(problem.A) ** 2
+    sigma_sq = _oracle_sigma_min_sq(problem.A)
     frobenius_sq = problem.A.frobenius_sq
     report = {
         "rate": _bound_section(rate_report, problem.A, sigma_sq),
@@ -308,7 +318,7 @@ def _cmd_certify(args) -> int:
                              f"differs from {args.matrix}'s, {A.frobenius_sq!r}, "
                              "by more than a relative 1e-9")
         if sigma_sq is None:
-            sigma_sq = smallest_nonzero_singular_value(A) ** 2
+            sigma_sq = _oracle_sigma_min_sq(A, "; pass --sigma-min-sq instead")
     result = certify_trace(trace, sigma_sq)
     if result.passed:
         print(f"certified: {result.checked} steps satisfy the {result.mode} bound")

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -369,8 +369,6 @@ TRACE_COLUMNS = ["k", *_STEP_COLUMNS]
 # but the step arrays (the columns), the config itself and the iterates.
 _TRACE_METADATA = [f.name for f in fields(Trace)
                    if f.name not in ("config", "final_x", "iterates", *TRACE_COLUMNS)]
-# Files written before runs recorded their start lack zero_start.
-_REQUIRED_METADATA = [name for name in _TRACE_METADATA if name != "zero_start"]
 
 
 def write_trace_csv(trace: Trace, path) -> Path:
@@ -382,7 +380,7 @@ def write_trace_csv(trace: Trace, path) -> Path:
     ``set_size`` and ``gamma`` for rk and cyclic) are empty fields.
     """
     meta = {
-        **asdict(replace(trace.config, gamma_mode=trace.config.resolved_gamma_mode())),
+        **asdict(trace.config),
         **{name: getattr(trace, name) for name in _TRACE_METADATA},
     }
     steps = (getattr(trace, name) for name in _STEP_COLUMNS)
@@ -400,14 +398,18 @@ def _trace_metadata(path: Path, meta: dict) -> dict:
     """The metadata line's ``Trace`` fields, checked: each metric a JSON number,
     null only for ``initial_err_sq`` and ``x_star_norm_sq`` and then for both
     (a run without x*), ``termination`` one of ``Trace.TERMINATIONS``, and
-    ``zero_start`` true, false, or null or absent where the start is unknown."""
+    ``zero_start`` true or false."""
     values = {}
-    for name in _REQUIRED_METADATA:
+    for name in _TRACE_METADATA:
         value = meta[name]
         if name == "termination":
             if value not in Trace.TERMINATIONS:
                 raise ValueError(f"{path}: the metadata line's termination {json.dumps(value)} "
                                  f"is not one of {', '.join(Trace.TERMINATIONS)}")
+        elif name == "zero_start":
+            if not isinstance(value, bool):
+                raise ValueError(f"{path}: the metadata line's zero_start is "
+                                 f"{json.dumps(value)}, not true or false")
         elif value is not None:
             # JSON true and false load as bool, a subclass of int.
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -415,15 +417,11 @@ def _trace_metadata(path: Path, meta: dict) -> dict:
                                  f"{json.dumps(value)}, not a number")
             value = float(value)
         values[name] = value
-    nulls = [name for name in _REQUIRED_METADATA if values[name] is None]
+    nulls = [name for name in _TRACE_METADATA if values[name] is None]
     if nulls not in ([], ["initial_err_sq", "x_star_norm_sq"]):
         raise ValueError(f"{path}: the metadata line's {' and '.join(nulls)} "
                          f"{'is' if len(nulls) == 1 else 'are'} null; only initial_err_sq "
                          "and x_star_norm_sq may be, and then both")
-    start = values["zero_start"] = meta.get("zero_start")
-    if start is not None and not isinstance(start, bool):
-        raise ValueError(f"{path}: the metadata line's zero_start is {json.dumps(start)}, "
-                         "not true or false")
     return values
 
 
@@ -436,19 +434,24 @@ def read_trace_csv(path) -> Trace:
     and ``final_x`` are not stored in the file.  A row whose field count
     differs from the header's, a blank line included, or whose k is not its
     0-based position among the rows raises ``ValueError`` naming its line; so
-    does a metadata line that is not a JSON object of the trace fields or
-    holds a bad setting, and one whose trace fields ``_trace_metadata``
-    refuses names the field.
+    does a metadata line that is not valid JSON, is not an object whose keys
+    are exactly the ``SolverConfig`` fields and ``_TRACE_METADATA``, the keys
+    ``write_trace_csv`` writes, or holds a bad setting, and one whose trace
+    fields ``_trace_metadata`` refuses names the field.
     """
     path = Path(path)
+    keys = [*(f.name for f in fields(SolverConfig)), *_TRACE_METADATA]
     with path.open() as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing metadata line")
-        meta = json.loads(first[1:].strip())
-        if not (isinstance(meta, dict) and meta.keys() >= set(_REQUIRED_METADATA)):
-            raise ValueError(f"{path}: the metadata line is not a JSON object with the keys "
-                             f"{', '.join(_REQUIRED_METADATA)}")
+        try:
+            meta = json.loads(first[1:].strip())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: the metadata line is not valid JSON ({exc})") from None
+        if not (isinstance(meta, dict) and meta.keys() == set(keys)):
+            raise ValueError(f"{path}: the metadata line is not a JSON object with exactly "
+                             f"the keys {', '.join(keys)}")
         values = _trace_metadata(path, meta)
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_COLUMNS:
@@ -464,11 +467,8 @@ def read_trace_csv(path) -> Trace:
                 raise ValueError(f"{path}: line {line} has k = {row[0]!r}, expected {len(rows)}")
             rows.append(row)
     columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
-    # Older files may lack some SolverConfig fields (defaults apply) or carry
-    # keys that are no longer stored (ignored).
     try:
-        config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig)
-                                 if f.name in meta})
+        config = SolverConfig(**{f.name: meta[f.name] for f in fields(SolverConfig)})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: the metadata line's solver settings: {exc}") from None
     recorded = _recorded_metrics(config.variant, values["initial_err_sq"] is not None)

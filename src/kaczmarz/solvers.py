@@ -79,8 +79,11 @@ def _count(name: str, value, least: int) -> int:
 class SolverConfig:
     """Variant selector plus step, momentum, and stopping parameters.
 
-    ``gamma_mode=None`` resolves per variant: the plain greedy solver uses
-    the exact active-set mass, the momentum solver the full Frobenius mass.
+    ``gamma_mode=None`` is resolved on construction, so that ``gamma_mode``
+    is always a ``GammaMode``: ``mgrk`` takes the full Frobenius mass, every
+    other variant the exact active-set mass.  ``dataclasses.replace(config,
+    variant=...)`` therefore keeps the resolved mode unless ``gamma_mode=None``
+    is passed again.
     ``rse_tol`` bounds the relative squared error ||x - x*||^2/||x*||^2 when
     x* is known and the relative squared residual ||r||^2/||b||^2 when not.
     """
@@ -97,8 +100,8 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = SolverVariant(self.variant)
-        if self.gamma_mode is not None:
-            self.gamma_mode = GammaMode(self.gamma_mode)
+        default = GammaMode.FROBENIUS if self.variant is SolverVariant.MGRK else GammaMode.EXACT
+        self.gamma_mode = default if self.gamma_mode is None else GammaMode(self.gamma_mode)
         self.prob_rule = ProbabilityRule(self.prob_rule)
         # Written so that NaN fails each range check, as infinity does.
         if not 0.0 < self.alpha < math.inf:
@@ -119,13 +122,6 @@ class SolverConfig:
             raise ValueError("gamma_mode lastrow needs alpha = 1 and beta = 0, "
                              f"got alpha = {self.alpha} and beta = {self.beta}")
 
-    def resolved_gamma_mode(self) -> GammaMode:
-        if self.gamma_mode is not None:
-            return self.gamma_mode
-        if self.variant is SolverVariant.MGRK:
-            return GammaMode.FROBENIUS
-        return GammaMode.EXACT
-
 
 @dataclass
 class Trace:
@@ -139,7 +135,7 @@ class Trace:
     ``set_size`` and ``gamma`` for rk and cyclic, ``err_sq`` without x*,
     ``res_sq`` where the run keeps no full residual.  ``run`` says which bits
     the arrays hold.  ``zero_start`` says whether the run started from
-    x0 = 0, None where that is unknown (a trace file that predates it).
+    x0 = 0.
 
     ``termination`` is one of ``TERMINATIONS``: ``rse_tol`` (error below
     ``config.rse_tol``), ``residual_tol`` (no x*, residual below
@@ -166,12 +162,12 @@ class Trace:
     config: SolverConfig
     frobenius_sq: float
     x_star_norm_sq: float | None
+    zero_start: bool
     index: np.ndarray
     set_size: np.ndarray | None = None
     gamma: np.ndarray | None = None
     err_sq: np.ndarray | None = None
     res_sq: np.ndarray | None = None
-    zero_start: bool | None = None
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -230,7 +226,7 @@ class _GreedyRule(NamedTuple):
     @classmethod
     def of(cls, config: SolverConfig, b: np.ndarray) -> _GreedyRule:
         tau_res = 1e-14 * max(1.0, float(np.max(np.abs(b))))
-        return cls(config.resolved_gamma_mode(), config.theta, config.prob_rule,
+        return cls(config.gamma_mode, config.theta, config.prob_rule,
                    tau_res, 2.0 * len(b) * tau_res * tau_res)
 
     def select(self, A, r, scores, loud, res_sq, last_index, rng):

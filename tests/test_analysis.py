@@ -98,7 +98,7 @@ class TestRateReport:
             assert tight < averaged
 
     def test_report_fields(self):
-        report = rate_report(DIAG)
+        report = rate_report(DIAG, 1.0)
         assert report.sigma_min_sq == pytest.approx(1.0)
         assert report.frob_sq == 5.0
         assert report.gamma_leaveout == 4.0
@@ -113,12 +113,12 @@ class TestRateReport:
         A = RowAccessMatrix([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         assert gamma_leaveout(A) == 10.0
         with pytest.raises(ValueError, match="sigma_min_sq <= gamma < frob_sq"):
-            rate_report(A)
+            rate_report(A, smallest_nonzero_singular_value(A) ** 2)
         with pytest.raises(ValueError, match="sigma_min_sq <= gamma < frob_sq"):
             grk_bounds(smallest_nonzero_singular_value(A) ** 2, A.frobenius_sq, 10.0, k=2)
 
     def test_bound_curve(self):
-        report = rate_report(DIAG)
+        report = rate_report(DIAG, 1.0)
         bounds = [grk_bounds(report.sigma_min_sq, report.frob_sq, report.gamma_leaveout, k)
                   for k in (0, 1, 2)]
         np.testing.assert_allclose([det for _, det in bounds], [1.0, 0.8, 0.6], rtol=1e-12)
@@ -272,9 +272,8 @@ class TestCertifyTrace:
         trace = run(problem, SolverConfig(variant="grk", seed=1), x0=x0)
         assert (trace.termination, trace.iterations, trace.zero_start) == ("converged", 66, False)
         assert certify_trace(replace(trace, zero_start=True), sigma_sq).first_violation == 2
-        for start in (False, None):
-            with pytest.raises(ValueError, match=r"x0 - x\* in Range\(A\^T\)"):
-                certify_trace(replace(trace, zero_start=start), sigma_sq)
+        with pytest.raises(ValueError, match=r"nonzero x0; the bounds need x0 - x\* in Range"):
+            certify_trace(trace, sigma_sq)
         # Even a start at x* itself, where no step runs, is refused.
         at_star = run(Problem(DIAG, [1.0, 4.0], x_star=[1.0, 2.0]), SolverConfig(variant="grk"),
                       x0=[1.0, 2.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from kaczmarz import cli
+from kaczmarz import cli, harness
 from kaczmarz.cli import main
 from kaczmarz.harness import (
     RandomProblemSpec,
@@ -285,6 +285,35 @@ def test_bound_flags_are_usage_errors(flags, message, capsys, monkeypatch):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, alternative", [
+    (["bound"], ""),
+    (["certify", "--trace", "g.csv"], "; pass --sigma-min-sq instead"),
+], ids=["bound", "certify"])
+def test_dense_svd_oracle_refused_above_its_size_limit(tmp_path, capsys, monkeypatch, argv,
+                                                       alternative):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--m", "60", "--n", "10", "--seed", "1", "--out", "p"]) == 0
+    assert main(["solve", "--matrix", "p_A.mtx", "--method", "grk", "--seed", "2",
+                 "--out", "g.csv"]) == 0
+    # min(m, n) = 10 is at the limit: the oracle runs.
+    monkeypatch.setattr(harness, "ORACLE_SIZE_LIMIT", 10)
+    assert main([*argv, "--matrix", "p_A.mtx"]) == 0
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the dense SVD oracle ran")
+
+    monkeypatch.setattr(cli, "smallest_nonzero_singular_value", no_oracle)
+    monkeypatch.setattr(harness, "ORACLE_SIZE_LIMIT", 9)
+    capsys.readouterr()
+    assert main([*argv, "--matrix", "p_A.mtx"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "kaczmarz: error: min(m, n) = 10 is above 9, the largest size the dense SVD oracle "
+        "runs at" + alternative)
+    if argv[0] == "certify":
+        # sigma_min_sq = 1 is at most the true value: the spectrum lies in [1, kappa].
+        assert main([*argv, "--matrix", "p_A.mtx", "--sigma-min-sq", "1"]) == 0
+
+
 def test_certify_round_trip(tmp_path, capsys):
     prefix = tmp_path / "c"
     main(["gen", "--m", "30", "--n", "6", "--seed", "8", "--out", str(prefix)])
@@ -345,9 +374,9 @@ def test_certify_refuses_infeasible_momentum_envelope(tmp_path, capsys):
 @pytest.mark.parametrize("meta", [
     '{"variant": "grk"}', "[1, 2]", {"alpha": "x"}, {"initial_err_sq": "x"},
     {"frobenius_sq": None}, {"x_star_norm_sq": "1"}, {"initial_res_sq": [1]},
-    {"termination": 3},
+    {"termination": 3}, "{bad json",
 ], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
-        "quoted-number", "list-metric", "unknown-termination"])
+        "quoted-number", "list-metric", "unknown-termination", "bad-json"])
 def test_certify_refuses_malformed_metadata(tmp_path, capsys, meta):
     # Each once raised an uncaught KeyError or TypeError (exit 1, a traceback)
     # or was certified (exit 0).
@@ -445,17 +474,19 @@ def test_certify_refuses_the_matrix_of_another_problem(tmp_path, capsys, sigma):
         "by more than a relative 1e-9")
 
 
-@pytest.mark.parametrize("edit, start", [
-    (lambda meta, rows: meta.pop("zero_start"), "an unrecorded x0"),
-    (lambda meta, rows: meta.update(zero_start=False), "a nonzero x0"),
+# A file without zero_start is refused as it is read, before any bound is checked.
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta, rows: meta.pop("zero_start"),
+     "{path}: the metadata line is not a JSON object with exactly the keys variant, alpha, "),
+    (lambda meta, rows: meta.update(zero_start=False),
+     "trace starts from a nonzero x0; the bounds need x0 - x* in Range(A^T), "
+     "which only x0 = 0 is known to meet"),
 ], ids=["no-start-key", "nonzero-start"])
-def test_certify_refuses_a_start_other_than_zero(tmp_path, capsys, edit, start):
+def test_certify_refuses_a_start_other_than_zero(tmp_path, capsys, edit, message):
     path = _edited_grk_trace(tmp_path / "g.csv", edit)
     capsys.readouterr()
     assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
-    assert capsys.readouterr().err.strip() == (
-        f"kaczmarz: error: trace starts from {start}; the bounds need x0 - x* in Range(A^T), "
-        "which only x0 = 0 is known to meet")
+    assert capsys.readouterr().err.startswith("kaczmarz: error: " + message.format(path=path))
 
 
 def test_certify_refuses_a_genuine_run_from_a_nonzero_start(tmp_path, capsys):
@@ -517,7 +548,7 @@ SETTINGS = {
     "alpha": ("alpha", 0.5),
     "beta": ("beta", 0.3),
     "theta": ("theta", 0.25),
-    "gamma_mode": ("gamma-mode", "exact"),
+    "gamma_mode": ("gamma-mode", "lastrow"),
     "prob_rule": ("prob", "uniform"),
     "seed": ("seed", 7),
     "max_iters": ("max-iters", 123),
@@ -550,7 +581,7 @@ def test_every_setting_survives_the_trace_metadata(tmp_path, name):
     config = SolverConfig(**{"variant": "mgrk", name: SETTINGS[name][1]})
     problem = gen_random_problem(RandomProblemSpec(m=20, n=4, r=4, kappa=3.0, seed=1))
     loaded = read_trace_csv(write_trace_csv(run(problem, config), tmp_path / "t.csv"))
-    assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+    assert loaded.config == config
 
 
 # Bad settings from flags, --methods specs and config-file lines:

@@ -4,19 +4,20 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kaczmarz import harness
 from kaczmarz.analysis import certify_trace
 from kaczmarz.harness import (
+    TRACE_COLUMNS,
     ExperimentSpec,
     RandomProblemSpec,
     emit_results,
@@ -30,8 +31,11 @@ from kaczmarz.harness import (
     write_vector,
 )
 from kaczmarz.linalg import InconsistentSystemError, Problem, RowAccessMatrix, min_norm_solution
-from kaczmarz.solvers import SolverConfig, run
+from kaczmarz.solvers import SolverConfig, Trace, run
 from trace_checks import assert_same_steps
+
+# A metadata key that a refusal case deletes from the written line.
+DROP = object()
 
 
 class TestRandomProblem:
@@ -371,39 +375,44 @@ class TestEmission:
                               rse_tol=1e-10)
         trace = run(problem, config)
         loaded = read_trace_csv(write_trace_csv(trace, tmp_path / "t.csv"))
-        # The metadata line stores the resolved gamma mode.
-        assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+        assert loaded.config == config
         assert_same_steps(loaded, trace)
         assert trace.iterations and (loaded.res_sq is None) == (variant == "rk")
 
-    @settings(max_examples=40, deadline=None)
+    # A run from x* takes no step; a long rk or cyclic run records more than
+    # one chunk of _RK_BLOCK = 1024 steps.
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 30), n=st.integers(1, 8),
-           variant=st.sampled_from(["cyclic", "rk", "grk", "mgrk"]), known=st.booleans())
-    def test_trace_csv_round_trip_returns_equal_steps(self, tmp_path_factory, seed, m, n,
-                                                        variant, known):
+           variant=st.sampled_from(["cyclic", "rk", "grk", "mgrk"]),
+           gamma_mode=st.sampled_from([None, "exact", "lastrow", "frobenius"]),
+           momentum=st.booleans(), known=st.booleans(), at_star=st.booleans(),
+           long=st.booleans())
+    @example(seed=1, m=20, n=4, variant="cyclic", gamma_mode=None, momentum=False,
+             known=True, at_star=False, long=True)
+    @example(seed=1, m=20, n=4, variant="mgrk", gamma_mode=None, momentum=True,
+             known=False, at_star=True, long=False)
+    def test_trace_csv_round_trip_returns_the_trace(self, tmp_path_factory, seed, m, n,
+                                                    variant, gamma_mode, momentum, known,
+                                                    at_star, long):
         rng = np.random.default_rng(seed)
         mat = rng.standard_normal((m, n))
         A = RowAccessMatrix(mat)
         b = mat @ rng.standard_normal(n)
-        problem = Problem(A, b, x_star=min_norm_solution(A, b) if known else None)
-        config = SolverConfig(variant=variant, beta=0.2 if variant == "mgrk" else 0.0,
-                              seed=seed, max_iters=100)
-        trace = run(problem, config)
+        x_star = min_norm_solution(A, b)
+        problem = Problem(A, b, x_star=x_star if known else None)
+        # grk runs without momentum, and lastrow needs none.
+        beta = 0.2 if momentum and variant != "grk" and gamma_mode != "lastrow" else 0.0
+        config = SolverConfig(variant=variant, beta=beta, gamma_mode=gamma_mode, seed=seed,
+                              max_iters=1100 if long else 100,
+                              rse_tol=1e-300 if long else 1e-12)
+        trace = run(problem, config, x0=x_star if at_star else None)
         path = write_trace_csv(trace, tmp_path_factory.mktemp("trace") / "t.csv")
-        assert_same_steps(read_trace_csv(path), trace)
-
-    def test_older_metadata_line_loads(self, tmp_path):
-        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=12))
-        config = SolverConfig(variant="grk", seed=4, max_iters=5000, rse_tol=1e-10)
-        trace = run(problem, config)
-        path = write_trace_csv(trace, tmp_path / "t.csv")
-        first, rest = path.read_text().split("\n", 1)
-        meta = json.loads(first[1:])
-        # Keys that earlier versions stored and Trace and SolverConfig no longer have.
-        meta.update(residual_tol=1e-13, res_zero_tol=None, refresh_every=1000, b_inf_norm=2.5)
-        path.write_text("# " + json.dumps(meta) + "\n" + rest)
         loaded = read_trace_csv(path)
-        assert loaded.config == replace(config, gamma_mode=config.resolved_gamma_mode())
+        assert loaded.config == trace.config
+        scalars = [f.name for f in fields(Trace)
+                   if f.name not in ("config", "final_x", "iterates", *TRACE_COLUMNS)]
+        assert [getattr(loaded, name) for name in scalars] == \
+            [getattr(trace, name) for name in scalars]
         assert_same_steps(loaded, trace)
 
     @pytest.mark.parametrize("variant", ["cyclic", "rk", "grk", "mgrk"])
@@ -455,9 +464,13 @@ class TestEmission:
         with pytest.raises(ValueError, match=f"line 13 has k = {k}, expected 10"):
             read_trace_csv(path)
 
-    # A dict is merged into the written metadata line; a string replaces it.
+    # A dict is merged into the written metadata line, less the keys it maps
+    # to DROP; a string replaces the line.
     @pytest.mark.parametrize("meta, message", [
-        ('{"variant": "grk"}', "not a JSON object with the keys termination, initial_err_sq"),
+        ('{"variant": "grk"}', "not a JSON object with exactly the keys variant, alpha, beta"),
+        ({"zero_start": DROP}, "not a JSON object with exactly the keys"),
+        ({"theta": DROP}, "not a JSON object with exactly the keys"),
+        ({"refresh_every": 1000}, "not a JSON object with exactly the keys"),
         ("[1, 2]", "not a JSON object"),
         ({"alpha": "x"}, "solver settings"),
         ({"initial_err_sq": "x"}, 'initial_err_sq is "x", not a number'),
@@ -470,16 +483,19 @@ class TestEmission:
         ({"seed": True}, "solver settings: seed must be an integer, got True"),
         ({"zero_start": 1}, "zero_start is 1, not true or false"),
         ({"zero_start": "true"}, 'zero_start is "true", not true or false'),
-    ], ids=["missing-key", "not-an-object", "bad-setting", "text-metric", "null-metric",
-            "quoted-number", "list-metric", "unknown-termination", "bool-metric",
-            "one-null-of-x-star", "bool-seed", "number-start", "text-start"])
+        ({"zero_start": None}, "zero_start is null, not true or false"),
+    ], ids=["missing-key", "no-start", "no-theta", "retired-key", "not-an-object",
+            "bad-setting", "text-metric", "null-metric", "quoted-number", "list-metric",
+            "unknown-termination", "bool-metric", "one-null-of-x-star", "bool-seed",
+            "number-start", "text-start", "null-start"])
     def test_malformed_metadata_refused(self, tmp_path, meta, message):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
         path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
                                tmp_path / "t.csv")
         first, rest = path.read_text().split("\n", 1)
         if isinstance(meta, dict):
-            meta = json.dumps({**json.loads(first[1:]), **meta})
+            merged = {**json.loads(first[1:]), **meta}
+            meta = json.dumps({key: value for key, value in merged.items() if value is not DROP})
         path.write_text("# " + meta + "\n" + rest)
         with pytest.raises(ValueError, match=message) as info:
             read_trace_csv(path)
@@ -490,7 +506,9 @@ class TestEmission:
         (lambda lines: [lines[0], lines[1].replace("gamma", "theta"), *lines[2:]],
          "the column header is not k,index,set_size,gamma,err_sq,res_sq"),
         (lambda lines: lines[:1], "the column header is not"),
-    ], ids=["no-metadata-line", "wrong-header", "no-header"])
+        (lambda lines: ["# {bad json", *lines[1:]],
+         r"the metadata line is not valid JSON \(Expecting property name enclosed in double"),
+    ], ids=["no-metadata-line", "wrong-header", "no-header", "bad-json"])
     def test_trace_file_without_metadata_or_header_refused(self, tmp_path, edit, message):
         problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
         path = write_trace_csv(run(problem, SolverConfig(variant="grk", seed=2)),
@@ -508,27 +526,6 @@ class TestEmission:
             path = write_trace_csv(trace, tmp_path / "t.csv")
             assert json.loads(path.read_text().split("\n", 1)[0][1:])["zero_start"] is zero
             assert read_trace_csv(path).zero_start is zero
-
-    @pytest.mark.parametrize("value", ["absent", None])
-    def test_trace_file_without_its_start_loads_and_refuses_certification(self, tmp_path,
-                                                                          value):
-        # A file written before runs recorded their start lacks the key.
-        problem = gen_random_problem(RandomProblemSpec(m=30, n=6, r=6, kappa=3.0, seed=10))
-        trace = run(problem, SolverConfig(variant="grk", seed=2))
-        path = write_trace_csv(trace, tmp_path / "t.csv")
-        first, rest = path.read_text().split("\n", 1)
-        meta = json.loads(first[1:])
-        if value == "absent":
-            del meta["zero_start"]
-        else:
-            meta["zero_start"] = value
-        path.write_text("# " + json.dumps(meta) + "\n" + rest)
-        loaded = read_trace_csv(path)
-        assert loaded.zero_start is None
-        assert_same_steps(loaded, trace)
-        assert certify_trace(trace, 1.0).passed
-        with pytest.raises(ValueError, match=r"unrecorded x0; the bounds need x0 - x\* in "):
-            certify_trace(loaded, 1.0)
 
     def test_zero_step_rk_trace_refuses_certification_from_csv(self, tmp_path):
         problem = Problem(RowAccessMatrix(np.eye(2)), [1.0, 1.0], x_star=[1.0, 1.0])

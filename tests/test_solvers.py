@@ -31,6 +31,7 @@ from kaczmarz.linalg import (
     min_norm_solution,
     smallest_nonzero_singular_value,
 )
+from kaczmarz.selection import GammaMode
 from kaczmarz.solvers import (
     _LOCKSTEP_TRIALS,
     _RK_BLOCK,
@@ -60,9 +61,16 @@ def random_problem(m, n, rank=None, seed=0, kappa=10.0):
 
 class TestConfig:
     def test_defaults_resolve_per_variant(self):
-        assert SolverConfig(variant="grk").resolved_gamma_mode().value == "exact"
-        assert SolverConfig(variant="mgrk").resolved_gamma_mode().value == "frobenius"
-        assert SolverConfig(variant="grk", gamma_mode="lastrow").resolved_gamma_mode().value == "lastrow"
+        # Every construction holds a member; None resolves per variant.
+        for variant in SolverVariant:
+            default = "frobenius" if variant is SolverVariant.MGRK else "exact"
+            for mode in (None, *GammaMode, *(g.value for g in GammaMode)):
+                config = SolverConfig(variant=variant, gamma_mode=mode)
+                assert config.gamma_mode is GammaMode(mode or default)
+        # replace keeps the resolved mode unless None is passed again.
+        grk = SolverConfig(variant="grk")
+        assert replace(grk, variant="mgrk").gamma_mode is GammaMode.EXACT
+        assert replace(grk, variant="mgrk", gamma_mode=None).gamma_mode is GammaMode.FROBENIUS
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -421,7 +429,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     greedy = config.variant in ("grk", "mgrk")
     if keep_residual is None:
         keep_residual = greedy or x_star is None
-    mode = config.resolved_gamma_mode()
+    mode = config.gamma_mode
     tau = 1e-14 * max(1.0, np.max(np.abs(b)))
     x_star_sq = float(np.add.reduce(x_star * x_star)) if x_star is not None else None
     err_denom = (x_star_sq or 1.0) if x_star is not None else None
@@ -495,7 +503,7 @@ def reference_row_action(problem, config, x0=None, capture=False, keep_residual=
     return Trace(termination=termination or "max_iters", initial_err_sq=initial_err,
                  initial_res_sq=initial_res,
                  final_x=x.copy(), config=config, frobenius_sq=A.frobenius_sq,
-                 x_star_norm_sq=x_star_sq,
+                 x_star_norm_sq=x_star_sq, zero_start=not iterates[0].any(),
                  iterates=iterates if capture else None,
                  **{name: np.array(values, dtype=np.int64 if name in ("index", "set_size")
                                    else np.float64) if recorded[name] else None
