@@ -92,7 +92,7 @@ class SolverConfig:
     alpha: float = 1.0
     beta: float = 0.0
     theta: float = 0.5
-    gamma_mode: GammaMode | None = None
+    gamma_mode: GammaMode | None = None  # None is resolved in __post_init__
     prob_rule: ProbabilityRule = ProbabilityRule.RESIDUAL
     seed: int = 0
     max_iters: int = 100_000

@@ -477,7 +477,8 @@ def test_certify_refuses_the_matrix_of_another_problem(tmp_path, capsys, sigma):
 # A file without zero_start is refused as it is read, before any bound is checked.
 @pytest.mark.parametrize("edit, message", [
     (lambda meta, rows: meta.pop("zero_start"),
-     "{path}: the metadata line is not a JSON object with exactly the keys variant, alpha, "),
+     "{path}: the metadata line is not a JSON object with exactly the keys "
+     + ", ".join([*(f.name for f in fields(SolverConfig)), *harness._TRACE_METADATA])),
     (lambda meta, rows: meta.update(zero_start=False),
      "trace starts from a nonzero x0; the bounds need x0 - x* in Range(A^T), "
      "which only x0 = 0 is known to meet"),
@@ -486,7 +487,7 @@ def test_certify_refuses_a_start_other_than_zero(tmp_path, capsys, edit, message
     path = _edited_grk_trace(tmp_path / "g.csv", edit)
     capsys.readouterr()
     assert main(["certify", "--trace", str(path), "--sigma-min-sq", "1"]) == 2
-    assert capsys.readouterr().err.startswith("kaczmarz: error: " + message.format(path=path))
+    assert capsys.readouterr().err.strip() == "kaczmarz: error: " + message.format(path=path)
 
 
 def test_certify_refuses_a_genuine_run_from_a_nonzero_start(tmp_path, capsys):
